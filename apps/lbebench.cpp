@@ -1,9 +1,9 @@
-// lbebench — unified benchmark driver.
+// lbebench — the benchmark driver: every registered suite runs through it.
 //
-//   lbebench --suite smoke|micro|index_io|serve|mpi_backend|open|figures|ablation
-//            [--filter SUBSTR]
-//            [--repeat N] [--out DIR]
+//   lbebench --suite NAME [--filter SUBSTR] [--repeat N] [--out DIR]
 //            [--baseline FILE --max-regress FRAC] [--no-json] [--list]
+//
+// `lbebench --help` lists the suite names, read from the registry.
 //
 // Runs the registered suite, prints each benchmark's figure/CSV output and
 // shape checks, and writes DIR/BENCH_<suite>.json (schema-versioned; see
@@ -17,6 +17,7 @@
 #include <string>
 
 #include "app/rank_programs.hpp"
+#include "common/error.hpp"
 #include "common/logging.hpp"
 #include "index/posting_codec.hpp"
 #include "perf/bench_registry.hpp"
@@ -24,14 +25,7 @@
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: lbebench [--suite smoke|micro|index_io|serve|mpi_backend|\n"
-    "                         open|figures|ablation]\n"
-    "                [--list] [--filter SUBSTR] [--repeat N] [--out DIR]\n"
-    "                [--baseline FILE] [--max-regress FRAC] [--no-json]\n"
-    "                [--gate-lower METRIC[,METRIC...]]\n"
-    "                [--lower-max-regress FRAC]\n"
-    "                [--simd auto|scalar|sse|avx2]\n"
+constexpr const char* kAbout =
     "\n"
     "Runs a registered benchmark suite and writes BENCH_<suite>.json\n"
     "(schema v1: wall time min/median/stddev per benchmark, queries/sec,\n"
@@ -41,6 +35,23 @@ constexpr const char* kUsage =
     "additionally gates the named lower-is-better metrics (e.g.\n"
     "p50_latency_ms,p99_latency_ms of the serve suite), failing when one\n"
     "grows beyond baseline / (1 - --lower-max-regress) (default 0.5).\n";
+
+std::string usage() {
+  lbe::perf::register_all_benches();
+  std::string suites;
+  for (const std::string& suite :
+       lbe::perf::BenchRegistry::instance().suites()) {
+    suites += (suites.empty() ? "" : "|") + suite;
+  }
+  return "usage: lbebench [--suite " + suites +
+         "]\n"
+         "                [--list] [--filter SUBSTR] [--repeat N] [--out DIR]\n"
+         "                [--baseline FILE] [--max-regress FRAC] [--no-json]\n"
+         "                [--gate-lower METRIC[,METRIC...]]\n"
+         "                [--lower-max-regress FRAC]\n"
+         "                [--simd " +
+         std::string(lbe::index::codec::kSimdLevelNames) + "]\n" + kAbout;
+}
 
 int list_benches() {
   lbe::perf::register_all_benches();
@@ -69,7 +80,7 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> std::string {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "lbebench: %s needs a value\n%s", arg.c_str(),
-                     kUsage);
+                     usage().c_str());
         std::exit(1);
       }
       return argv[++i];
@@ -117,33 +128,28 @@ int main(int argc, char** argv) {
     } else if (arg == "--simd") {
       namespace codec = lbe::index::codec;
       const std::string name = value();
-      codec::SimdLevel level = codec::SimdLevel::kAuto;
-      if (!codec::parse_simd_level(name, level)) {
-        std::fprintf(stderr,
-                     "lbebench: unknown simd level '%s' "
-                     "(expected auto|scalar|sse|avx2)\n",
-                     name.c_str());
+      try {
+        if (!codec::apply_simd_level(name)) {
+          std::fprintf(stderr,
+                       "lbebench: simd level '%s' is not supported by this "
+                       "CPU; using '%s'\n",
+                       name.c_str(),
+                       codec::simd_level_name(codec::resolved_simd_level()));
+        }
+      } catch (const lbe::ConfigError& e) {
+        std::fprintf(stderr, "lbebench: %s\n", e.what());
         return 1;
-      }
-      codec::set_simd_level(level);
-      if (level != codec::SimdLevel::kAuto &&
-          codec::resolved_simd_level() != level) {
-        std::fprintf(stderr,
-                     "lbebench: simd level '%s' is not supported by this "
-                     "CPU; using '%s'\n",
-                     name.c_str(),
-                     codec::simd_level_name(codec::resolved_simd_level()));
       }
     } else if (arg == "--no-json") {
       options.write_json = false;
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("%s", kUsage);
+      std::printf("%s", usage().c_str());
       return 0;
     } else {
       std::fprintf(stderr, "lbebench: unknown option %s\n%s", arg.c_str(),
-                   kUsage);
+                   usage().c_str());
       return 1;
     }
   }

@@ -8,6 +8,10 @@
 # The batch size is kept small so the queue is deep enough for grants to
 # actually fire when scheduling jitter allows (byte-identity must hold
 # whether or not any batch migrates).
+# The calibrated schedule re-partitions from a probe timed on kThreads,
+# whose rank clocks are measured wall time, so its weights (and the
+# placement) vary from run to run: only the source_rank column may move,
+# and the run must either re-plan or warn that its probe was degenerate.
 # Invoked as:
 #   cmake -DLBECTL=<lbectl> -DWORK_DIR=<scratch> -P schedule_equivalence_test.cmake
 
@@ -62,3 +66,37 @@ foreach(column batches_stolen predicted_cost pred_rel_err_mean)
   endif()
 endforeach()
 message(STATUS "stealing metrics.csv carries the scheduling columns")
+
+# Calibrated on threads: every psms.tsv column but source_rank matches the
+# static run, and the run either re-planned or kept the static placement
+# with a degenerate-probe warning.
+execute_process(
+  COMMAND ${LBECTL} search ${COMMON} --backend threads
+          --schedule calibrated --out ${WORK_DIR}/calibrated_threads
+  OUTPUT_VARIABLE log ERROR_VARIABLE log
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR
+          "lbectl search --schedule calibrated --backend threads failed "
+          "(${status}):\n${log}")
+endif()
+if(NOT log MATCHES "re-planned from a"
+   AND NOT log MATCHES "calibration probe was degenerate")
+  message(FATAL_ERROR
+          "--schedule calibrated neither re-planned nor warned of a "
+          "degenerate probe:\n${log}")
+endif()
+set(field "[^\t\n]*\t")
+set(before_source_rank "(${field}${field}${field}${field}${field}${field}${field})${field}")
+foreach(run static_threads calibrated_threads)
+  file(READ ${WORK_DIR}/${run}/psms.tsv rows)
+  string(REGEX REPLACE "${before_source_rank}" "\\1" ${run} "${rows}")
+endforeach()
+if(NOT static_threads STREQUAL calibrated_threads)
+  message(FATAL_ERROR
+          "--schedule calibrated psms.tsv differs from lbe_static on "
+          "--backend threads beyond the source_rank column")
+endif()
+message(STATUS
+        "--backend threads: calibrated psms.tsv matches lbe_static up to "
+        "source_rank")

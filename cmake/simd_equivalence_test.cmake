@@ -1,10 +1,10 @@
 # SIMD equivalence acceptance test (ctest `lbectl_simd_equivalence`):
-# one prepared v4 bundle, searched warm at every decode kernel the CPU
-# supports (--simd scalar/sse/avx2 over the mapped path), must produce a
-# psms.tsv byte-identical to the eager streamed load (--mmap off), which
-# never touches the packed extents lazily. Unsupported levels are skipped
-# with a notice — lbectl clamps them to the best available kernel, so a
-# cmp there would only re-test the fallback.
+# one prepared bundle, searched warm at every decode kernel the CPU
+# supports (--simd scalar/avx2 over the mapped path), must produce a
+# psms.tsv byte-identical to the eager streamed load decoded by the scalar
+# kernel (--mmap off --simd scalar). Unsupported levels are skipped with a
+# notice — lbectl clamps them to the best available kernel, so a cmp there
+# would only re-test the fallback.
 # Invoked as:
 #   cmake -DLBECTL=<lbectl> -DWORK_DIR=<scratch> -P simd_equivalence_test.cmake
 
@@ -20,19 +20,21 @@ if(NOT status EQUAL 0)
   message(FATAL_ERROR "lbectl prepare failed (${status})")
 endif()
 
-# Baseline: eager streamed warm start, decoded with whatever kernel `auto`
-# picks. Byte-identity against this run proves both the codec kernels and
-# the lazy mapped path change nothing observable.
+# Baseline: eager streamed warm start, pinned to the scalar kernel. Every
+# load decodes the packed postings, so the baseline must name its kernel:
+# otherwise `auto` would make the AVX2 kernel its own oracle. Byte-identity
+# against this run proves both the codec kernels and the lazy mapped path
+# change nothing observable.
 execute_process(
   COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
-          --index ${WORK_DIR}/prep --mmap off
+          --index ${WORK_DIR}/prep --mmap off --simd scalar
           --out ${WORK_DIR}/baseline
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "baseline lbectl search --mmap off failed (${status})")
 endif()
 
-foreach(simd_level scalar sse avx2)
+foreach(simd_level scalar avx2)
   execute_process(
     COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
             --index ${WORK_DIR}/prep --mmap on --simd ${simd_level}
@@ -68,3 +70,16 @@ foreach(simd_level scalar sse avx2)
           "--simd ${simd_level} psms.tsv is byte-identical to the eager "
           "baseline")
 endforeach()
+
+# A level that names no kernel is a configuration error (exit 2) that
+# names the valid levels.
+execute_process(
+  COMMAND ${LBECTL} search ${COMMON} --simd sse --out ${WORK_DIR}/simd_sse
+  OUTPUT_VARIABLE search_output
+  ERROR_VARIABLE search_stderr
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 2 OR NOT search_stderr MATCHES "auto\\|scalar\\|avx2")
+  message(FATAL_ERROR
+          "--simd sse should exit 2 naming auto|scalar|avx2, got ${status}:\n"
+          "${search_stderr}")
+endif()

@@ -103,7 +103,9 @@ int run_prepare(const AppOptions& opts) {
   // Round-trip the whole bundle as a self-check: an index set that cannot
   // be read back — or that fails its own manifest validation — is worse
   // than none. Force the eager path so every chunk payload is actually
-  // re-read and CRC-verified (a lazy mapped check would stop at metadata).
+  // re-read, CRC-verified and range-checked posting by posting (a lazy
+  // mapped check would stop at metadata). The postings stay packed: the
+  // check decodes one block at a time into scratch.
   AppOptions self_check = opts;
   self_check.index_mmap = false;
   const auto reloaded = try_load_warm_indexes(index_dir, plan, db,
@@ -399,17 +401,12 @@ int dispatch(const CliInvocation& cli) {
     return 0;
   }
   const AppOptions opts = options_from_config(cli.config);
-  {
-    namespace codec = index::codec;
-    codec::SimdLevel level = codec::SimdLevel::kAuto;
-    codec::parse_simd_level(opts.simd, level);  // validated at parse
-    codec::set_simd_level(level);
-    if (level != codec::SimdLevel::kAuto &&
-        codec::resolved_simd_level() != level) {
-      log::warn("simd level '", opts.simd,
-                "' is not supported by this CPU; using '",
-                codec::simd_level_name(codec::resolved_simd_level()), "'");
-    }
+  if (!index::codec::apply_simd_level(opts.simd)) {
+    log::warn("simd level '", opts.simd,
+              "' is not supported by this CPU; using '",
+              index::codec::simd_level_name(
+                  index::codec::resolved_simd_level()),
+              "'");
   }
   if (cli.subcommand == "prepare") return run_prepare(opts);
   if (cli.subcommand == "search") return run_search(opts);

@@ -114,13 +114,7 @@ AppOptions options_from_config(const Config& config) {
   opts.index_out_dir = config.get_string("index_out", "");
   opts.index_mmap = config.get_bool("mmap", true);
   opts.simd = config.get_string("simd", "auto");
-  {
-    index::codec::SimdLevel level;
-    if (!index::codec::parse_simd_level(opts.simd, level)) {
-      throw ConfigError("unknown simd level: " + opts.simd +
-                        " (expected auto|scalar|sse|avx2)");
-    }
-  }
+  index::codec::parse_simd_level(opts.simd);  // ConfigError on a typo
   opts.out_dir = config.get_string("out", ".");
 
   opts.target_entries =
@@ -319,10 +313,10 @@ dashes in CLI option names are accepted as underscores):
                        lazily on first query touch (on, the default), or
                        eagerly stream every array into memory (off).
                        Results are byte-identical either way
-  --simd LEVEL         posting-decode kernel for packed (v4) indexes:
-                       auto|scalar|sse|avx2 (default auto = widest ISA the
-                       CPU supports). Results are byte-identical at every
-                       level; unsupported requests degrade with a notice
+  --simd LEVEL         posting-decode kernel: auto|scalar|avx2 (default
+                       auto = widest ISA the CPU supports). Results are
+                       byte-identical at every level; unsupported requests
+                       degrade with a notice
   --index_out DIR      prepare: index bundle directory (default: --out)
   --out DIR            output directory (default .)
   --entries N          synthetic index-entry target        (default 50000)

@@ -36,8 +36,8 @@ struct AppOptions {
   /// streaming every array into heap vectors. Results are identical; only
   /// time-to-first-query and peak RSS change.
   bool index_mmap = true;
-  /// `--simd auto|scalar|sse|avx2`: posting-decode kernel for packed
-  /// (format v4) indexes (index/posting_codec.hpp). `auto` (default)
+  /// `--simd auto|scalar|avx2`: posting-decode kernel for the packed
+  /// postings (index/posting_codec.hpp). `auto` (default)
   /// resolves to the widest ISA the CPU supports; results are
   /// byte-identical at every level — CI proves it per commit.
   std::string simd = "auto";

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/error.hpp"
 #include "common/logging.hpp"
 #include "index/chunked_index.hpp"
 #include "index/posting_codec.hpp"
@@ -26,20 +25,13 @@ void search_rank_program(mpi::Comm& comm, const mpi::Bytes& setup_payload) {
   // through the same kernel. The master ships a concrete level (never
   // "auto"); an unsupported request on a heterogeneous host degrades with
   // the usual notice — results are byte-identical at every level anyway.
-  if (!setup.simd_level.empty()) {
-    namespace codec = index::codec;
-    codec::SimdLevel level = codec::SimdLevel::kAuto;
-    if (!codec::parse_simd_level(setup.simd_level, level)) {
-      throw CommError("master requested unknown simd level: " +
-                      setup.simd_level);
-    }
-    codec::set_simd_level(level);
-    if (level != codec::SimdLevel::kAuto &&
-        codec::resolved_simd_level() != level) {
-      log::warn("rank ", comm.rank(), ": simd level '", setup.simd_level,
-                "' is not supported by this CPU; using '",
-                codec::simd_level_name(codec::resolved_simd_level()), "'");
-    }
+  if (!setup.simd_level.empty() &&
+      !index::codec::apply_simd_level(setup.simd_level)) {
+    log::warn("rank ", comm.rank(), ": simd level '", setup.simd_level,
+              "' is not supported by this CPU; using '",
+              index::codec::simd_level_name(
+                  index::codec::resolved_simd_level()),
+              "'");
   }
 
   search::WorkerSearchConfig config;

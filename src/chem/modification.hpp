@@ -67,8 +67,15 @@ class ModificationSet {
 struct ModSite {
   std::uint16_t position;  ///< 0-based residue offset
   ModId mod;
+  /// Names the padding byte so it is always zero: index files store
+  /// ModSite arrays verbatim, and an indeterminate byte would make two
+  /// identical `lbectl prepare` runs write different rank files.
+  std::uint8_t reserved = 0;
 
-  friend bool operator==(const ModSite&, const ModSite&) = default;
+  friend bool operator==(const ModSite& a, const ModSite& b) {
+    return a.position == b.position && a.mod == b.mod;
+  }
 };
+static_assert(sizeof(ModSite) == 4, "ModSite is an on-disk format");
 
 }  // namespace lbe::chem

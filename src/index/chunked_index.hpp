@@ -9,8 +9,10 @@
 // This is also the paper's §IV escape hatch for the "2 billion ions" limit:
 // no chunk's posting array outgrows practical array indexing.
 //
-// Warm starts come in two flavours. `load`/`load_file` streams every
-// chunk's arrays into owned vectors up front (eager). `map_file` mmaps the
+// Every chunk keeps its postings in one form, the packed block stream of
+// index/posting_codec.hpp, however it came to be. Warm starts come in two
+// flavours. `load`/`load_file` copies every chunk's packed arrays into
+// owned vectors up front (eager). `map_file` mmaps the
 // rank file, validates only the metadata (params, store columns, chunk
 // directory) and *lazily* materializes a chunk — CRC check plus in-place
 // span binding, no copy — the first time a query window intersects it. A
@@ -87,13 +89,15 @@ class ChunkedIndex {
   void query(const chem::Spectrum& spectrum, const QueryParams& params,
              std::vector<Candidate>& out, QueryWork& work) const;
 
-  /// Heap bytes of every *resident* chunk index plus the peptide store.
-  /// Mapped, not-yet-touched chunks cost no heap and are not counted.
+  /// Heap bytes of every *resident* chunk index (offsets, packed postings,
+  /// block directory, bounds) plus the peptide store. Mapped chunks keep
+  /// their arrays in the page cache, so they add no array heap.
   std::uint64_t memory_bytes() const noexcept;
 
   /// Packed-stream footprint of every chunk's postings, block directories
   /// included (the numerator of the index_io suite's bytes_per_posting
-  /// metric). Forces materialization on a mapped index.
+  /// metric) — the same bytes whether built, loaded or mapped. Forces
+  /// materialization on a mapped index.
   std::uint64_t packed_posting_bytes() const;
 
   /// Postings per m/z bin summed over chunks (chunks share one binning).

@@ -93,61 +93,6 @@ void unpack_block_scalar(const BlockMeta& meta, const std::byte* p,
 
 #if LBE_CODEC_X86
 
-__attribute__((target("sse4.1"))) void unpack_block_sse(
-    const BlockMeta& meta, const std::byte* p, std::uint32_t row_first,
-    std::uint32_t row_last, std::uint32_t* out) {
-  const std::uint32_t width = meta.width;
-  if (width == 0) {
-    std::fill_n(out, static_cast<std::size_t>(row_last - row_first) * kLanes,
-                meta.base);
-    return;
-  }
-  const __m128i mask = _mm_set1_epi32(static_cast<int>(width_mask(width)));
-  const __m128i base = _mm_set1_epi32(static_cast<int>(meta.base));
-  // One stripe = lanes 0-3 in the low 16 bytes, lanes 4-7 in the high 16;
-  // both halves share the exact shift schedule of the AVX2 kernel. Entry
-  // mid-stream: row_first's packed bits start at bit (row_first * width)
-  // of every lane, i.e. stripe (bitpos / 32) at in-word offset bitpos % 32.
-  const std::uint32_t bitpos = row_first * width;
-  p += 32 * (bitpos >> 5);
-  __m128i acc0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  __m128i acc1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
-  p += 32;
-  std::uint32_t bit = bitpos & 31;
-  for (std::uint32_t r = row_first; r < row_last; ++r) {
-    __m128i v0, v1;
-    if (bit + width <= 32) {
-      const __m128i count = _mm_cvtsi32_si128(static_cast<int>(bit));
-      v0 = _mm_srl_epi32(acc0, count);
-      v1 = _mm_srl_epi32(acc1, count);
-      bit += width;
-      if (bit == 32 && r + 1 < row_last) {
-        acc0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-        acc1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
-        p += 32;
-        bit = 0;
-      }
-    } else {
-      const __m128i lo_count = _mm_cvtsi32_si128(static_cast<int>(bit));
-      const __m128i hi_count = _mm_cvtsi32_si128(static_cast<int>(32 - bit));
-      const __m128i lo0 = _mm_srl_epi32(acc0, lo_count);
-      const __m128i lo1 = _mm_srl_epi32(acc1, lo_count);
-      acc0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-      acc1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
-      p += 32;
-      v0 = _mm_or_si128(lo0, _mm_sll_epi32(acc0, hi_count));
-      v1 = _mm_or_si128(lo1, _mm_sll_epi32(acc1, hi_count));
-      bit = bit + width - 32;
-    }
-    v0 = _mm_add_epi32(_mm_and_si128(v0, mask), base);
-    v1 = _mm_add_epi32(_mm_and_si128(v1, mask), base);
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(out + (r - row_first) * kLanes), v0);
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(out + (r - row_first) * kLanes + 4), v1);
-  }
-}
-
 __attribute__((target("avx2"))) void unpack_block_avx2(
     const BlockMeta& meta, const std::byte* p, std::uint32_t row_first,
     std::uint32_t row_last, std::uint32_t* out) {
@@ -159,6 +104,9 @@ __attribute__((target("avx2"))) void unpack_block_avx2(
   }
   const __m256i mask = _mm256_set1_epi32(static_cast<int>(width_mask(width)));
   const __m256i base = _mm256_set1_epi32(static_cast<int>(meta.base));
+  // Entry mid-stream: row_first's packed bits start at bit
+  // (row_first * width) of every lane, i.e. stripe (bitpos / 32) at
+  // in-word offset bitpos % 32.
   const std::uint32_t bitpos = row_first * width;
   p += 32 * (bitpos >> 5);
   __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -198,27 +146,18 @@ using UnpackFn = void (*)(const BlockMeta&, const std::byte*, std::uint32_t,
 UnpackFn kernel_for(SimdLevel level) noexcept {
 #if LBE_CODEC_X86
   if (level == SimdLevel::kAvx2) return &unpack_block_avx2;
-  if (level == SimdLevel::kSse) return &unpack_block_sse;
 #endif
   (void)level;
   return &unpack_block_scalar;
 }
 
 SimdLevel clamp_to_cpu(SimdLevel level) noexcept {
-  if (level == SimdLevel::kAuto) {
-    if (cpu_supports(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-    if (cpu_supports(SimdLevel::kSse)) return SimdLevel::kSse;
-    return SimdLevel::kScalar;
-  }
-  // A requested ISA the CPU lacks degrades to the widest one it has —
-  // `--simd avx2` on an SSE-only machine must not fault mid-query.
-  if (level == SimdLevel::kAvx2 && !cpu_supports(SimdLevel::kAvx2)) {
-    return clamp_to_cpu(SimdLevel::kAuto);
-  }
-  if (level == SimdLevel::kSse && !cpu_supports(SimdLevel::kSse)) {
-    return SimdLevel::kScalar;
-  }
-  return level;
+  // kAuto, and a requested ISA the CPU lacks, resolve to the widest one it
+  // has — `--simd avx2` on a machine without AVX2 must not fault
+  // mid-query.
+  if (level == SimdLevel::kScalar) return level;
+  return cpu_supports(SimdLevel::kAvx2) ? SimdLevel::kAvx2
+                                        : SimdLevel::kScalar;
 }
 
 struct KernelState {
@@ -245,38 +184,48 @@ std::uint64_t block_bytes(const BlockMeta& meta, std::uint32_t n) noexcept {
 
 void encode(std::span<const std::uint32_t> values,
             std::vector<BlockMeta>& blocks, std::vector<std::byte>& bytes) {
+  // Pass 1 lays out the directory, so both outputs are allocated once at
+  // their exact size; pass 2 fills the stream.
+  const std::size_t block_count =
+      (values.size() + kBlockValues - 1) / kBlockValues;
   blocks.clear();
-  bytes.clear();
-  for (std::size_t begin = 0; begin < values.size();
-       begin += kBlockValues) {
-    const std::uint32_t n = static_cast<std::uint32_t>(
-        std::min<std::size_t>(kBlockValues, values.size() - begin));
-    const std::uint32_t* v = values.data() + begin;
+  blocks.reserve(block_count);
+  std::uint64_t stream_bytes = 0;
+  for (std::size_t b = 0; b < block_count; ++b) {
+    const std::uint32_t* v = values.data() + b * kBlockValues;
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::size_t>(kBlockValues, values.size() - b * kBlockValues));
     const auto [min_it, max_it] = std::minmax_element(v, v + n);
-    const std::uint32_t base = *min_it;
     const std::uint32_t width =
-        static_cast<std::uint32_t>(std::bit_width(*max_it - base));
-
+        static_cast<std::uint32_t>(std::bit_width(*max_it - *min_it));
     BlockMeta meta;
-    meta.offset = bytes.size();
-    const std::uint64_t raw_size = static_cast<std::uint64_t>(n) * 4;
-    if (packed_block_bytes(n, width) >= raw_size) {
+    meta.offset = stream_bytes;
+    if (packed_block_bytes(n, width) >= static_cast<std::uint64_t>(n) * 4) {
       // Incompressible (or too short to amortize a stripe): verbatim u32.
       meta.tag = kTagRaw;
-      blocks.push_back(meta);
-      const std::size_t at = bytes.size();
-      bytes.resize(at + raw_size);
-      std::memcpy(bytes.data() + at, v, raw_size);
+    } else {
+      meta.base = *min_it;
+      meta.width = static_cast<std::uint8_t>(width);
+      meta.tag = kTagPacked;
+    }
+    stream_bytes += block_bytes(meta, n);
+    blocks.push_back(meta);
+  }
+
+  bytes.clear();
+  bytes.resize(static_cast<std::size_t>(stream_bytes), std::byte{0});
+  for (std::size_t b = 0; b < block_count; ++b) {
+    const BlockMeta& meta = blocks[b];
+    const std::uint32_t* v = values.data() + b * kBlockValues;
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::size_t>(kBlockValues, values.size() - b * kBlockValues));
+    auto* words = reinterpret_cast<unsigned char*>(bytes.data() + meta.offset);
+    if (meta.tag == kTagRaw) {
+      std::memcpy(words, v, static_cast<std::size_t>(n) * 4);
       continue;
     }
-    meta.base = base;
-    meta.width = static_cast<std::uint8_t>(width);
-    meta.tag = kTagPacked;
-    blocks.push_back(meta);
-    const std::size_t at = bytes.size();
-    bytes.resize(at + packed_block_bytes(n, width), std::byte{0});
+    const std::uint32_t width = meta.width;
     if (width == 0) continue;
-    auto* words = reinterpret_cast<unsigned char*>(bytes.data() + at);
     auto or_word = [&](std::uint32_t word_index, std::uint32_t value) {
       std::uint32_t w;
       std::memcpy(&w, words + 4 * word_index, 4);
@@ -284,7 +233,7 @@ void encode(std::span<const std::uint32_t> values,
       std::memcpy(words + 4 * word_index, &w, 4);
     };
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t off = v[i] - base;
+      const std::uint32_t off = v[i] - meta.base;
       const std::uint32_t lane = i % kLanes;
       const std::uint32_t bitpos = (i / kLanes) * width;
       const std::uint32_t word = bitpos >> 5;
@@ -397,12 +346,6 @@ bool cpu_supports(SimdLevel level) noexcept {
 #else
       return false;
 #endif
-    case SimdLevel::kSse:
-#if LBE_CODEC_X86
-      return __builtin_cpu_supports("sse4.1") != 0;
-#else
-      return false;
-#endif
     case SimdLevel::kAuto:
     case SimdLevel::kScalar:
       return true;
@@ -427,27 +370,25 @@ const char* simd_level_name(SimdLevel level) noexcept {
       return "auto";
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse:
-      return "sse";
     case SimdLevel::kAvx2:
       return "avx2";
   }
   return "?";
 }
 
-bool parse_simd_level(std::string_view text, SimdLevel& out) noexcept {
-  if (text == "auto") {
-    out = SimdLevel::kAuto;
-  } else if (text == "scalar") {
-    out = SimdLevel::kScalar;
-  } else if (text == "sse") {
-    out = SimdLevel::kSse;
-  } else if (text == "avx2") {
-    out = SimdLevel::kAvx2;
-  } else {
-    return false;
+SimdLevel parse_simd_level(std::string_view text) {
+  for (const SimdLevel level :
+       {SimdLevel::kAuto, SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    if (text == simd_level_name(level)) return level;
   }
-  return true;
+  throw ConfigError("unknown simd level: " + std::string(text) +
+                    " (expected " + std::string(kSimdLevelNames) + ")");
+}
+
+bool apply_simd_level(std::string_view text) {
+  const SimdLevel level = parse_simd_level(text);
+  set_simd_level(level);
+  return level == SimdLevel::kAuto || resolved_simd_level() == level;
 }
 
 }  // namespace lbe::index::codec

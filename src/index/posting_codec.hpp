@@ -26,15 +26,14 @@
 //              rows occupies ceil(R*width/32) stripes, zero-padded.
 //
 // The 8-lane vertical layout is the natural shape for AVX2 (one stripe =
-// one ymm register); SSE4.1 decodes the two 16-byte stripe halves with
-// identical shift phases, and the scalar kernel walks the same words one
-// lane at a time — all three produce identical output for identical
-// bytes, which CI enforces (see .github/workflows/ci.yml).
+// one ymm register), and the scalar kernel walks the same words one lane
+// at a time — both produce identical output for identical bytes, which CI
+// enforces (see .github/workflows/ci.yml).
 //
 // Kernel selection is process-global: `set_simd_level` (the `--simd`
-// knob in lbectl/lbebench) picks scalar/SSE4.1/AVX2 or kAuto, which
-// resolves to the widest ISA the CPU reports. Requests the CPU cannot
-// honor fall back to the widest supported level rather than faulting.
+// knob in lbectl/lbebench) picks scalar/AVX2 or kAuto, which resolves to
+// the widest ISA the CPU reports. Requests the CPU cannot honor fall back
+// to the widest supported level rather than faulting.
 #pragma once
 
 #include <cstddef>
@@ -113,9 +112,11 @@ void validate_blocks(std::span<const BlockMeta> blocks,
 enum class SimdLevel : int {
   kAuto = 0,    ///< widest ISA the CPU supports (the default)
   kScalar = 1,  ///< portable reference kernel
-  kSse = 2,     ///< SSE4.1
-  kAvx2 = 3,    ///< AVX2
+  kAvx2 = 2,    ///< AVX2
 };
+
+/// The `--simd` spellings, for usage and error text.
+inline constexpr std::string_view kSimdLevelNames = "auto|scalar|avx2";
 
 /// True when the running CPU can execute `level` (kAuto/kScalar: always).
 bool cpu_supports(SimdLevel level) noexcept;
@@ -129,10 +130,16 @@ void set_simd_level(SimdLevel level) noexcept;
 /// The level requests resolve to right now (never kAuto).
 SimdLevel resolved_simd_level() noexcept;
 
-/// "auto" | "scalar" | "sse" | "avx2".
+/// "auto" | "scalar" | "avx2".
 const char* simd_level_name(SimdLevel level) noexcept;
 
-/// Parses a `--simd` argument; returns false on unknown spelling.
-bool parse_simd_level(std::string_view text, SimdLevel& out) noexcept;
+/// Parses a `--simd` argument; throws ConfigError naming the valid levels
+/// on any other spelling.
+SimdLevel parse_simd_level(std::string_view text);
+
+/// parse_simd_level + set_simd_level. Returns false when the CPU cannot
+/// honor the request and a narrower kernel was installed instead (callers
+/// print the notice).
+bool apply_simd_level(std::string_view text);
 
 }  // namespace lbe::index::codec

@@ -46,11 +46,14 @@ class QueryArena {
     std::uint32_t pad = 0;  ///< 16-byte stride: shift, not imul, to index
   };
 
-  /// Resizes the scorecard for a store of `num_peptides` entries (ids are
-  /// store-wide, so one arena serves every chunk of a ChunkedIndex) and
-  /// starts a new epoch. Called by the index at the top of each query.
+  /// Grows the scorecard to cover a store of `num_peptides` entries (ids
+  /// are store-wide, so one arena serves every chunk of a ChunkedIndex)
+  /// and starts a new epoch. Called by the index at the top of each query.
+  /// Never shrinks: slots are live only under the current epoch, so one
+  /// arena may serve indexes over stores of different sizes in turn (the
+  /// daemon walks every rank's index with one arena per worker).
   void begin_query(std::size_t num_peptides) {
-    if (slots_.size() != num_peptides) {
+    if (slots_.size() < num_peptides) {
       slots_.assign(num_peptides, Slot{});
       ref_stamp_.clear();
       ref_count_.clear();
@@ -120,8 +123,8 @@ class QueryArena {
   std::vector<Window> windows;
   std::vector<BinSpan> spans;
 
-  /// Span-decode scratch for packed (format v4) indexes: the covering
-  /// posting blocks of one span, unpacked (index/posting_codec.hpp).
+  /// Span-decode scratch: the covering packed posting rows of one span,
+  /// unpacked (index/posting_codec.hpp).
   /// Sized in whole 128-value blocks; grows to the largest span seen and
   /// stays allocated, so steady-state decode allocates nothing.
   std::vector<std::uint32_t> decoded;

@@ -64,9 +64,10 @@ inline constexpr std::uint32_t kMagic = 0x5845424Cu;
 /// so chunks can be materialized lazily, on first query touch. Version 4
 /// replaces each chunk's raw u32 posting array with bit-packed
 /// frame-of-reference blocks plus a per-block directory
-/// (index/posting_codec.hpp): eager loads decode back to u32 once at
-/// parse, mapped loads bind the packed extents in place and decode spans
-/// at query time through the runtime-selected scalar/SSE4.1/AVX2 kernel.
+/// (index/posting_codec.hpp), the one form SlmIndex holds postings in:
+/// eager loads copy the packed extents, mapped loads bind them in place,
+/// and queries decode spans through the runtime-selected scalar/AVX2
+/// kernel.
 /// Version 5 appends per-block bound metadata (BlockBound: precursor-mass
 /// range + max per-peptide fragment count, one record per 128-posting
 /// codec block) to each chunk's arrays payload, so the span walk can skip

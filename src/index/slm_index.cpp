@@ -71,21 +71,21 @@ SlmIndex::SlmIndex(const PeptideStore& store,
   bin_offsets_storage_[num_bins] = offset;
 
   // Pass 2: fill postings via per-bin write cursors.
-  postings_storage_.assign(offset, 0);
+  std::vector<LocalPeptideId> postings(offset, 0);
   std::vector<std::uint32_t> cursor(bin_offsets_storage_.begin(),
                                     bin_offsets_storage_.end() - 1);
   for (const LocalPeptideId id : ids) {
-    for_each_fragment(
-        id, [&](MzBin bin) { postings_storage_[cursor[bin]++] = id; });
+    for_each_fragment(id,
+                      [&](MzBin bin) { postings[cursor[bin]++] = id; });
   }
 
   // Secondary order inside each bin: parent precursor mass, then id — the
   // Fig. 1 sort that keeps precursor-window scans contiguous. Iterating ids
   // in input order already yields id order; re-sort by (mass, id).
   for (MzBin b = 0; b < num_bins; ++b) {
-    const auto begin = postings_storage_.begin() +
+    const auto begin = postings.begin() +
                        static_cast<std::ptrdiff_t>(bin_offsets_storage_[b]);
-    const auto end = postings_storage_.begin() +
+    const auto end = postings.begin() +
                      static_cast<std::ptrdiff_t>(bin_offsets_storage_[b + 1]);
     std::sort(begin, end, [this](LocalPeptideId a, LocalPeptideId b2) {
       const Mass ma = store_->mass(a);
@@ -94,19 +94,23 @@ SlmIndex::SlmIndex(const PeptideStore& store,
       return a < b2;
     });
   }
-  compute_block_bounds();
+  compute_block_bounds(postings);
+  // The one posting form from here on: packed blocks. The u32 array dies
+  // with this scope.
+  codec::encode(postings, blocks_storage_, packed_storage_);
+  posting_count_ = postings.size();
   bind_owned();
 }
 
 void SlmIndex::bind_owned() noexcept {
   bin_offsets_ = bin_offsets_storage_;
-  postings_ = postings_storage_;
-  posting_count_ = postings_storage_.size();
+  blocks_ = blocks_storage_;
+  packed_ = packed_storage_;
   bounds_ = bounds_storage_;
 }
 
-void SlmIndex::compute_block_bounds() {
-  const std::size_t n = postings_storage_.size();
+void SlmIndex::compute_block_bounds(std::span<const LocalPeptideId> postings) {
+  const std::size_t n = postings.size();
   bounds_storage_.assign((n + codec::kBlockValues - 1) / codec::kBlockValues,
                          BlockBound{});
   if (n == 0) return;
@@ -114,15 +118,15 @@ void SlmIndex::compute_block_bounds() {
   // touches one peptide can receive in a single walk, since spans are
   // disjoint bin ranges and each posting lies in at most one of them.
   std::vector<std::uint32_t> nfrags(store_->size(), 0);
-  for (const LocalPeptideId id : postings_storage_) ++nfrags[id];
+  for (const LocalPeptideId id : postings) ++nfrags[id];
   for (std::size_t b = 0; b < bounds_storage_.size(); ++b) {
     const std::size_t begin = b * codec::kBlockValues;
     const std::size_t end = std::min(n, begin + codec::kBlockValues);
-    Mass lo = store_->mass(postings_storage_[begin]);
+    Mass lo = store_->mass(postings[begin]);
     Mass hi = lo;
     std::uint32_t frags = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      const LocalPeptideId id = postings_storage_[i];
+      const LocalPeptideId id = postings[i];
       const Mass mass = store_->mass(id);
       lo = std::min(lo, mass);
       hi = std::max(hi, mass);
@@ -308,11 +312,10 @@ void SlmIndex::query_impl(const chem::Spectrum& spectrum,
     if (begin == end) continue;
 
     // Walks one contiguous slice of the span. Raw restrict pointers:
-    // posting loads (from the CSR array, or from the slice's blocks
-    // decoded into arena scratch — the scratch stays L1-hot, so the
-    // scorecard's cache misses still dominate) cannot alias scorecard
-    // stores, so the compiler keeps loop state in registers across slot
-    // writes.
+    // posting loads (the slice's rows decoded into arena scratch, which
+    // stays L1-hot, so the scorecard's cache misses still dominate) cannot
+    // alias scorecard stores, so the compiler keeps loop state in
+    // registers across slot writes.
     const auto walk = [&](std::uint32_t slice_begin,
                           std::uint32_t slice_end) {
       work.postings_touched += static_cast<std::uint64_t>(span.multiplicity) *
@@ -421,10 +424,21 @@ void SlmIndex::query(const chem::Spectrum& spectrum,
   query(spectrum, params, out, work, internal_arena_);
 }
 
+std::vector<LocalPeptideId> SlmIndex::decoded_postings() const {
+  std::vector<LocalPeptideId> postings(blocks_.size() * codec::kBlockValues);
+  codec::decode_blocks(blocks_, packed_, posting_count_, 0, blocks_.size(),
+                       postings.data());
+  postings.resize(static_cast<std::size_t>(posting_count_));
+  return postings;
+}
+
 void SlmIndex::query_reference(const chem::Spectrum& spectrum,
                                const QueryParams& params,
+                               std::span<const LocalPeptideId> postings,
                                std::vector<Candidate>& out, QueryWork& work,
                                QueryArena& arena) const {
+  LBE_CHECK(postings.size() == posting_count_,
+            "query_reference needs this index's decoded_postings()");
   arena.begin_query(store_->size());
   arena.ensure_reference();
   const auto threshold = static_cast<std::uint16_t>(
@@ -448,12 +462,9 @@ void SlmIndex::query_reference(const chem::Spectrum& spectrum,
       ++work.bins_visited;
       const std::uint32_t begin = bin_offsets_[b];
       const std::uint32_t end = bin_offsets_[b + 1];
-      // Per-bin decode (a packed block may be decoded once per covering
-      // bin): wasteful on purpose — the reference walk optimizes for
-      // being obviously faithful to the pre-batching engine, not speed.
-      const std::uint32_t* postings = posting_slice(begin, end, arena);
+      const LocalPeptideId* bin_postings = postings.data() + begin;
       for (std::uint32_t i = 0; i < end - begin; ++i) {
-        const LocalPeptideId pep = postings[i];
+        const LocalPeptideId pep = bin_postings[i];
         ++work.postings_touched;
         if (!arena.ref_stamped(pep)) arena.ref_stamp(pep);
         arena.ref_intensity(pep) += peak_intensity;
@@ -482,7 +493,6 @@ std::uint64_t SlmIndex::memory_bytes() const noexcept {
   // Mapped indexes own no array heap: their bytes live in the page cache
   // and are charged to the file, not the process heap.
   return bin_offsets_storage_.capacity() * sizeof(std::uint32_t) +
-         postings_storage_.capacity() * sizeof(LocalPeptideId) +
          blocks_storage_.capacity() * sizeof(codec::BlockMeta) +
          bounds_storage_.capacity() * sizeof(BlockBound) +
          packed_storage_.capacity() + internal_arena_.memory_bytes();
@@ -491,7 +501,6 @@ std::uint64_t SlmIndex::memory_bytes() const noexcept {
 const std::uint32_t* SlmIndex::posting_slice(std::uint32_t begin,
                                              std::uint32_t end,
                                              QueryArena& arena) const {
-  if (!packed_mode_) return postings_.data() + begin;
   if (begin == end) return arena.decoded.data();
   const std::size_t block_first = begin / codec::kBlockValues;
   const std::size_t block_count = (end - 1) / codec::kBlockValues -
@@ -501,28 +510,6 @@ const std::uint32_t* SlmIndex::posting_slice(std::uint32_t begin,
   codec::decode_range(blocks_, packed_, posting_count_, begin, end,
                       arena.decoded.data());
   return arena.decoded.data() + (begin - block_first * codec::kBlockValues);
-}
-
-void SlmIndex::ensure_packed() const {
-  if (packed_mode_ || packed_cached_) return;
-  codec::encode(postings_, blocks_storage_, packed_storage_);
-  blocks_ = blocks_storage_;
-  packed_ = packed_storage_;
-  packed_cached_ = true;
-}
-
-std::uint64_t SlmIndex::packed_posting_bytes() const {
-  ensure_packed();
-  return packed_.size() + blocks_.size() * sizeof(codec::BlockMeta);
-}
-
-void SlmIndex::compress_in_memory() {
-  if (packed_mode_) return;
-  ensure_packed();
-  postings_storage_.clear();
-  postings_storage_.shrink_to_fit();
-  postings_ = {};
-  packed_mode_ = true;
 }
 
 SlmIndex::SlmIndex(const PeptideStore& store,
@@ -538,7 +525,6 @@ constexpr std::uint64_t padded8(std::uint64_t n) { return (n + 7) & ~7ull; }
 }  // namespace
 
 std::uint64_t SlmIndex::arrays_payload_size() const {
-  ensure_packed();
   return 32 + padded8(bin_offsets_.size() * sizeof(std::uint32_t)) +
          padded8(blocks_.size() * sizeof(codec::BlockMeta)) +
          padded8(packed_.size()) +
@@ -546,7 +532,6 @@ std::uint64_t SlmIndex::arrays_payload_size() const {
 }
 
 std::uint32_t SlmIndex::arrays_payload_crc() const {
-  ensure_packed();
   LBE_CHECK(bounds_.size() == blocks_.size(),
             "block bounds out of step with the block directory");
   const std::uint64_t counts[4] = {bin_offsets_.size(), posting_count_,
@@ -565,7 +550,6 @@ std::uint32_t SlmIndex::arrays_payload_crc() const {
 }
 
 void SlmIndex::write_arrays_payload(std::ostream& out) const {
-  ensure_packed();
   LBE_CHECK(bounds_.size() == blocks_.size(),
             "block bounds out of step with the block directory");
   std::uint64_t cursor = 0;
@@ -626,62 +610,46 @@ SlmIndex SlmIndex::parse_arrays_payload(
                 "implausible block fragment bound");
   }
 
+  sz::require(offsets_view.size() ==
+                  std::size_t{params.binning().num_bins()} + 1,
+              "bin count mismatch (different IndexParams?)");
+  sz::require(!offsets_view.empty() && offsets_view.back() == postings_count,
+              "postings size mismatch");
+  for (std::size_t b = 1; b < offsets_view.size(); ++b) {
+    sz::require(offsets_view[b] >= offsets_view[b - 1],
+                "non-monotone bin offsets");
+  }
+  // Every posting must be a valid store id BEFORE any query runs: the
+  // scorecard indexes slots by posting with no bounds check. Each block is
+  // decoded once into scratch for this check alone — queries re-decode per
+  // span — so corruption that survives the CRC (a stale-but-valid file for
+  // a different store) fails at load or first touch, never mid-walk.
+  std::uint32_t scratch[codec::kBlockValues];
+  for (std::size_t b = 0; b < blocks_view.size(); ++b) {
+    codec::decode_blocks(blocks_view, packed_view, postings_count, b, 1,
+                         scratch);
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        codec::kBlockValues, postings_count - b * codec::kBlockValues));
+    sz::require(*std::max_element(scratch, scratch + n) < store.size(),
+                "posting out of range");
+  }
+
   SlmIndex index(store, mods, params, nullptr);
+  index.posting_count_ = postings_count;
   if (keepalive != nullptr) {
     index.bin_offsets_ = offsets_view;
     index.blocks_ = blocks_view;
     index.packed_ = packed_view;
     index.bounds_ = bounds_view;
-    index.posting_count_ = postings_count;
-    index.packed_mode_ = true;
-    index.packed_cached_ = true;
     index.keepalive_ = std::move(keepalive);
   } else {
-    // Eager load: decode back to the raw u32 array once, then query at
-    // full resident speed with no decode in the walk.
+    // Eager load: the same packed arrays, copied out of the stream buffer.
     index.bin_offsets_storage_.assign(offsets_view.begin(),
                                       offsets_view.end());
+    index.blocks_storage_.assign(blocks_view.begin(), blocks_view.end());
+    index.packed_storage_.assign(packed_view.begin(), packed_view.end());
     index.bounds_storage_.assign(bounds_view.begin(), bounds_view.end());
-    index.postings_storage_.resize(
-        static_cast<std::size_t>(block_count) * codec::kBlockValues);
-    codec::decode_blocks(blocks_view, packed_view, postings_count, 0,
-                         static_cast<std::size_t>(block_count),
-                         index.postings_storage_.data());
-    index.postings_storage_.resize(
-        static_cast<std::size_t>(postings_count));
     index.bind_owned();
-  }
-
-  sz::require(index.bin_offsets_.size() ==
-                  std::size_t{index.binning_.num_bins()} + 1,
-              "bin count mismatch (different IndexParams?)");
-  sz::require(!index.bin_offsets_.empty() &&
-                  index.bin_offsets_.back() == postings_count,
-              "postings size mismatch");
-  for (std::size_t b = 1; b < index.bin_offsets_.size(); ++b) {
-    sz::require(index.bin_offsets_[b] >= index.bin_offsets_[b - 1],
-                "non-monotone bin offsets");
-  }
-  // Every decoded posting must be a valid store id BEFORE any query runs:
-  // the scorecard indexes slots by posting with no bounds check. The
-  // mapped path decodes once into scratch for exactly this validation —
-  // queries re-decode per span — so corruption that survives the CRC
-  // (a stale-but-valid file for a different store) still fails at first
-  // touch, never mid-walk.
-  if (index.packed_mode_) {
-    std::vector<std::uint32_t> scratch(
-        static_cast<std::size_t>(block_count) * codec::kBlockValues);
-    codec::decode_blocks(blocks_view, packed_view, postings_count, 0,
-                         static_cast<std::size_t>(block_count),
-                         scratch.data());
-    for (std::uint64_t i = 0; i < postings_count; ++i) {
-      sz::require(scratch[static_cast<std::size_t>(i)] < store.size(),
-                  "posting out of range");
-    }
-  } else {
-    for (const LocalPeptideId id : index.postings_) {
-      sz::require(id < store.size(), "posting out of range");
-    }
   }
   return index;
 }

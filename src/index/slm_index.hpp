@@ -2,9 +2,10 @@
 //
 // Build: every stored peptide is fragmented (b/y ions), each fragment m/z is
 // quantized (see Binning), and a CSR structure maps bin -> postings (local
-// peptide ids). Within a bin, postings are ordered by parent precursor mass
-// then id — the secondary sort the paper's Fig. 1 describes, which makes
-// precursor-window scans over a bin contiguous.
+// peptide ids, stored as bit-packed blocks). Within a bin, postings are
+// ordered by parent precursor mass then id — the secondary sort the
+// paper's Fig. 1 describes, which makes precursor-window scans over a bin
+// contiguous.
 //
 // Query: the query's peak tolerance windows are swept into coalesced bin
 // spans (each span = a run of consecutive bins covered by the same peaks),
@@ -134,21 +135,16 @@ class SlmIndex {
   std::size_t num_peptides() const noexcept { return store_->size(); }
   std::uint64_t num_postings() const noexcept { return posting_count_; }
 
-  /// True when queries decode bit-packed posting blocks (a v4 warm start
-  /// bound from an mmap, or after compress_in_memory); false while the
-  /// raw u32 array is resident.
-  bool packed() const noexcept { return packed_mode_; }
+  /// Packed-stream footprint of the postings (block directory included)
+  /// — the numerator of the index_io suite's bytes_per_posting metric.
+  std::uint64_t packed_posting_bytes() const noexcept {
+    return packed_.size() + blocks_.size() * sizeof(codec::BlockMeta);
+  }
 
-  /// Packed-stream footprint of the postings (block directory included),
-  /// packing a raw-resident index once if needed — the numerator of the
-  /// index_io suite's bytes_per_posting metric.
-  std::uint64_t packed_posting_bytes() const;
-
-  /// Switches a raw-resident index to the packed query path in place:
-  /// encodes the postings, drops the raw array, and decodes spans at
-  /// query time exactly as a mapped v4 chunk does. Benches and tests use
-  /// this to exercise the decode kernels without a round trip to disk.
-  void compress_in_memory();
+  /// Every posting decoded into one u32 array in CSR order (bin_offsets
+  /// index it directly): the input query_reference walks. Callers build it
+  /// once per index, never per query.
+  std::vector<LocalPeptideId> decoded_postings() const;
 
   /// Shared-peak filtration of one query spectrum. Appends candidates with
   /// shared_peaks >= params.shared_peak_min (and, unless open search, with
@@ -163,9 +159,11 @@ class SlmIndex {
   void query(const chem::Spectrum& spectrum, const QueryParams& params,
              std::vector<Candidate>& out, QueryWork& work) const;
 
-  /// The pre-batching filtration walk (one pass per peak per bin), kept as
-  /// the equivalence oracle for the batched path and as the baseline the
-  /// micro_kernels filtration speedup is measured against. Candidate order
+  /// The pre-batching filtration walk (one pass per peak per bin) over
+  /// `postings` = decoded_postings(), a u32 copy the caller decodes once,
+  /// kept as the equivalence oracle for the batched path and as the
+  /// baseline the micro_kernels filtration speedup is measured against.
+  /// Candidate order
   /// may differ from `query` (threshold-crossing order is walk-dependent).
   /// The (peptide, shared_peaks) multisets are always identical;
   /// matched_intensity is bit-identical whenever the accumulated values
@@ -173,11 +171,14 @@ class SlmIndex {
   /// tests pin) and may differ in the last ulp otherwise — the two walks
   /// associate the same float sums differently.
   void query_reference(const chem::Spectrum& spectrum,
-                       const QueryParams& params, std::vector<Candidate>& out,
-                       QueryWork& work, QueryArena& arena) const;
+                       const QueryParams& params,
+                       std::span<const LocalPeptideId> postings,
+                       std::vector<Candidate>& out, QueryWork& work,
+                       QueryArena& arena) const;
 
-  /// Exact heap bytes: postings + offsets (+ the lazily-grown internal
-  /// arena, when the convenience overload has been used).
+  /// Exact heap bytes: packed postings + block directory + bounds +
+  /// offsets (+ the lazily-grown internal arena, when the convenience
+  /// overload has been used). Zero array bytes for a mapped index.
   std::uint64_t memory_bytes() const noexcept;
 
   /// Postings-per-bin histogram feeding the load-prediction model.
@@ -220,30 +221,25 @@ class SlmIndex {
   //   blocks      codec::BlockMeta[] (16 B each, inherently 8-aligned)
   //   packed posting stream bytes,   zero-padded to 8
   //   bounds      BlockBound[block_count] (16 B each, v5)
-  // Size and CRC are computable without materializing the payload (the
-  // pack runs once and is cached), so the chunk directory — which
-  // precedes the payloads — can be written first.
+  // Size and CRC are computable without materializing the payload, so
+  // the chunk directory — which precedes the payloads — can be written
+  // first.
   std::uint64_t arrays_payload_size() const;
   std::uint32_t arrays_payload_crc() const;
   void write_arrays_payload(std::ostream& out) const;
 
-  /// Guarantees blocks_/packed_ describe the postings: a no-op when the
-  /// index is already packed (or the pack is cached), one deterministic
-  /// codec::encode otherwise. Const because `save` needs it; the cache
-  /// lives in mutable storage and never changes observable query results.
-  void ensure_packed() const;
-
-  /// Postings [begin, end) as a contiguous u32 slice: the raw array when
-  /// resident, otherwise the covering packed blocks decoded into
-  /// arena.decoded (slice pointer adjusted to `begin`). The slice is
-  /// valid until the next call with the same arena.
+  /// Postings [begin, end) as a contiguous u32 slice: the covering packed
+  /// rows decoded into arena.decoded (slice pointer adjusted to `begin`).
+  /// The slice is valid until the next call with the same arena.
   const std::uint32_t* posting_slice(std::uint32_t begin, std::uint32_t end,
                                      QueryArena& arena) const;
 
   /// Parses one arrays payload from `payload` (positioned at its start,
   /// 8-aligned phase) and validates structure. With a `keepalive` mapping
-  /// the spans bind in place (zero copy); without one the arrays are
-  /// copied into owned storage. Throws IoError on corrupt input.
+  /// the spans bind in place (zero copy); without one the packed arrays
+  /// are copied into owned storage as they are. Either way every posting
+  /// is decoded once, block by block, to range-check it. Throws IoError
+  /// on corrupt input.
   static SlmIndex parse_arrays_payload(
       bin::ByteReader& payload, const PeptideStore& store,
       const chem::ModificationSet& mods, const IndexParams& params,
@@ -263,7 +259,7 @@ class SlmIndex {
 
   /// Fills bounds_storage_ from the freshly built postings (one pass over
   /// the postings plus a per-peptide fragment-count tally).
-  void compute_block_bounds();
+  void compute_block_bounds(std::span<const LocalPeptideId> postings);
 
   /// Peak windows -> coalesced spans, in arena scratch.
   void build_spans(const chem::Spectrum& spectrum, const QueryParams& params,
@@ -281,33 +277,22 @@ class SlmIndex {
   // 32-bit offsets mirror the paper's §III-D observation that plain int
   // indexing caps one partition at ~2 billion ions; a partition that would
   // overflow must be split (ChunkedIndex / more ranks). Checked at build.
-  // The spans are the access path; they bind to the storage vectors below
-  // (cold path) or straight into a mapped rank file (warm path).
+  //
+  // The postings exist in one form only: bit-packed 128-posting blocks
+  // (format v4, index/posting_codec.hpp) plus their v5 bounds. A build
+  // encodes them once and drops the u32 array it sorted; an eager load
+  // copies the packed bytes; a mapped load binds these spans straight into
+  // the rank file. The span walk decodes through posting_slice.
   std::span<const std::uint32_t> bin_offsets_;  ///< size num_bins+1
-  std::span<const LocalPeptideId> postings_;
-  std::vector<std::uint32_t> bin_offsets_storage_;
-  std::vector<LocalPeptideId> postings_storage_;
-  std::shared_ptr<const bin::MmapFile> keepalive_;
-
-  // Bit-packed posting blocks (format v4, index/posting_codec.hpp). A
-  // built index stays raw u32 — the zero-overhead path — and packs once,
-  // lazily, when saved (mutable cache below). A v4 warm start arrives
-  // packed: eager loads decode back to u32 at parse and discard the
-  // packed form; mapped loads bind these spans into the mapping and the
-  // span walk decodes through posting_slice at query time. In packed
-  // mode postings_ is empty and posting_count_ carries the total.
-  mutable std::span<const codec::BlockMeta> blocks_;
-  mutable std::span<const std::byte> packed_;
-  mutable std::vector<codec::BlockMeta> blocks_storage_;
-  mutable std::vector<std::byte> packed_storage_;
-  mutable bool packed_cached_ = false;
-
-  // Per-block bound metadata (v5). Computed at build, parsed (and
-  // validated) from v5 payloads; mapped loads bind the span in place.
+  std::span<const codec::BlockMeta> blocks_;
+  std::span<const std::byte> packed_;
   std::span<const BlockBound> bounds_;
+  std::vector<std::uint32_t> bin_offsets_storage_;
+  std::vector<codec::BlockMeta> blocks_storage_;
+  std::vector<std::byte> packed_storage_;
   std::vector<BlockBound> bounds_storage_;
+  std::shared_ptr<const bin::MmapFile> keepalive_;
   std::uint64_t posting_count_ = 0;
-  bool packed_mode_ = false;
 
   // Backs the no-arena convenience overload only (mutable: query is
   // logically const). Untouched by the arena-passing hot paths.

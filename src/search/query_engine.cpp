@@ -108,11 +108,22 @@ QueryResult QueryEngine::search_preprocessed(const chem::Spectrum& query,
   return result;
 }
 
+namespace {
+
+/// Whether a range fans out over the pool or runs on the calling thread.
+bool fans_out(const ThreadPool* pool, std::size_t lo, std::size_t hi) {
+  return pool != nullptr && pool->size() > 1 && hi - lo >= 2;
+}
+
+}  // namespace
+
 std::vector<QueryResult> QueryEngine::search_all(
     const std::vector<chem::Spectrum>& raw_queries, index::QueryWork& work,
-    ThreadPool* pool) const {
+    std::span<index::QueryArena> arenas, ThreadPool* pool) const {
   std::vector<QueryResult> results(raw_queries.size());
-  search_range(raw_queries, 0, raw_queries.size(), results, work, pool);
+  run_range(raw_queries, 0, raw_queries.size(), results, work,
+            fans_out(pool, 0, raw_queries.size()) ? pool : nullptr, nullptr,
+            arenas);
   return results;
 }
 
@@ -121,22 +132,38 @@ void QueryEngine::search_range(const std::vector<chem::Spectrum>& raw_queries,
                                std::vector<QueryResult>& results,
                                index::QueryWork& work, ThreadPool* pool,
                                std::vector<index::QueryWork>* per_query) const {
+  if (!fans_out(pool, lo, hi)) {
+    run_range(raw_queries, lo, hi, results, work, nullptr, per_query,
+              {&internal_arena_, 1});
+    return;
+  }
+  std::vector<index::QueryArena> block_arenas(pool->size());
+  run_range(raw_queries, lo, hi, results, work, pool, per_query,
+            block_arenas);
+}
+
+void QueryEngine::run_range(const std::vector<chem::Spectrum>& raw_queries,
+                            std::size_t lo, std::size_t hi,
+                            std::vector<QueryResult>& results,
+                            index::QueryWork& work, ThreadPool* pool,
+                            std::vector<index::QueryWork>* per_query,
+                            std::span<index::QueryArena> arenas) const {
   LBE_CHECK(lo <= hi && hi <= raw_queries.size(), "bad query range");
   LBE_CHECK(results.size() >= hi, "result buffer too small for range");
   LBE_CHECK(per_query == nullptr || per_query->size() >= hi,
             "per-query work buffer too small for range");
-  if (pool == nullptr || pool->size() == 1 || hi - lo < 2) {
-    if (per_query == nullptr) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        results[i] =
-            search(raw_queries[i], static_cast<std::uint32_t>(i), work);
-      }
-      return;
-    }
+  LBE_CHECK(arenas.size() >= (pool == nullptr ? 1 : pool->size()),
+            "one arena per pool worker needed");
+  if (pool == nullptr) {
     for (std::size_t i = lo; i < hi; ++i) {
+      if (per_query == nullptr) {
+        results[i] = search(raw_queries[i], static_cast<std::uint32_t>(i),
+                            work, arenas[0]);
+        continue;
+      }
       (*per_query)[i] = index::QueryWork{};
       results[i] = search(raw_queries[i], static_cast<std::uint32_t>(i),
-                          (*per_query)[i]);
+                          (*per_query)[i], arenas[0]);
       work += (*per_query)[i];
     }
     return;
@@ -148,7 +175,6 @@ void QueryEngine::search_range(const std::vector<chem::Spectrum>& raw_queries,
   // Work counters are per-block (or per-query) and merged at the end so
   // totals stay exact.
   std::vector<index::QueryWork> block_work(pool->size());
-  std::vector<index::QueryArena> block_arenas(pool->size());
   std::atomic<std::size_t> block_counter{0};
   pool->parallel_for(lo, hi, [&](std::size_t block_lo, std::size_t block_hi) {
     const std::size_t block = block_counter.fetch_add(1);
@@ -156,11 +182,11 @@ void QueryEngine::search_range(const std::vector<chem::Spectrum>& raw_queries,
       if (per_query != nullptr) {
         (*per_query)[i] = index::QueryWork{};
         results[i] = search(raw_queries[i], static_cast<std::uint32_t>(i),
-                            (*per_query)[i], block_arenas[block]);
+                            (*per_query)[i], arenas[block]);
         block_work[block] += (*per_query)[i];
       } else {
         results[i] = search(raw_queries[i], static_cast<std::uint32_t>(i),
-                            block_work[block], block_arenas[block]);
+                            block_work[block], arenas[block]);
       }
     }
   });

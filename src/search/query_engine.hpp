@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chem/spectrum.hpp"
@@ -70,11 +71,15 @@ class QueryEngine {
   QueryResult search(const chem::Spectrum& raw, std::uint32_t query_id,
                      index::QueryWork& work) const;
 
-  /// Searches a batch; when `pool` is non-null the loop fans out over it
-  /// (the hybrid MPI+threads mode of the paper's future work).
+  /// Searches a batch with caller-owned arenas; when `pool` is non-null
+  /// the loop fans out over it (the hybrid MPI+threads mode of the paper's
+  /// future work). arenas[0] serves the serial path, arenas[w] pool worker
+  /// w, so `arenas` must hold max(1, pool->size()) entries. A long-lived
+  /// caller (the serving daemon) keeps them across calls, so scorecards
+  /// are sized once, not per batch.
   std::vector<QueryResult> search_all(
-      const std::vector<chem::Spectrum>& raw_queries,
-      index::QueryWork& work, ThreadPool* pool = nullptr) const;
+      const std::vector<chem::Spectrum>& raw_queries, index::QueryWork& work,
+      std::span<index::QueryArena> arenas, ThreadPool* pool = nullptr) const;
 
   /// Searches the sub-range [lo, hi) of `raw_queries` into results[lo..hi).
   /// `results` must already span at least `hi` slots. The batched distributed
@@ -101,6 +106,14 @@ class QueryEngine {
                                   std::uint32_t query_id,
                                   index::QueryWork& work,
                                   index::QueryArena& arena) const;
+
+  /// search_range's body over the given arenas (arenas[0] when `pool` is
+  /// null, one per pool worker otherwise).
+  void run_range(const std::vector<chem::Spectrum>& raw_queries,
+                 std::size_t lo, std::size_t hi,
+                 std::vector<QueryResult>& results, index::QueryWork& work,
+                 ThreadPool* pool, std::vector<index::QueryWork>* per_query,
+                 std::span<index::QueryArena> arenas) const;
 
   const index::ChunkedIndex* index_;
   const chem::ModificationSet* mods_;

@@ -55,12 +55,22 @@ void SearchService::replace(std::shared_ptr<const ServingContext> context) {
   LBE_CHECK(context != nullptr, "hot swap needs a serving context");
   std::lock_guard<std::mutex> lock(mutex_);
   context_ = std::move(context);
+  idle_arenas_.clear();
 }
 
 SearchResponse SearchService::search_batch(
     const std::vector<chem::Spectrum>& spectra, std::uint32_t start_id,
     ThreadPool* pool) const {
-  const auto context = snapshot();
+  std::shared_ptr<const ServingContext> context;
+  std::vector<index::QueryArena> arenas;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    context = context_;
+    if (!idle_arenas_.empty()) {
+      arenas = std::move(idle_arenas_.back());
+      idle_arenas_.pop_back();
+    }
+  }
   const core::LbePlan& plan = *context->plan.plan;
   const index::IndexBundle& warm = *context->warm;
   const search::SearchParams& params = context->opts.search.search;
@@ -74,14 +84,16 @@ SearchResponse SearchService::search_batch(
   // batch, local ids travel through the mapping table, and the per-query
   // lists sort under the strict total order global_psm_better.
   std::vector<search::GlobalQueryResult> merged(num_queries);
+  arenas.resize(std::max<std::size_t>(arenas.size(),
+                                      pool == nullptr ? 1 : pool->size()));
   for (int rank = 0; rank < warm.ranks(); ++rank) {
-    // Engines are per-call (cheap: pointers + params + an arena) so
-    // concurrent batches never share the non-thread-safe internal arena.
+    // Engines are per-call (pointers + params); the arenas they search
+    // with belong to this batch alone until it checks them back in.
     const search::QueryEngine engine(*warm.per_rank[rank], plan.mods(),
                                      params);
     index::QueryWork work;
     const std::vector<search::QueryResult> local =
-        engine.search_all(spectra, work, pool);
+        engine.search_all(spectra, work, arenas, pool);
     for (std::size_t q = 0; q < num_queries; ++q) {
       response.candidates += local[q].candidates;
       auto& slot = merged[q];
@@ -102,6 +114,10 @@ SearchResponse SearchService::search_batch(
 
   response.rows =
       search::resolve_psms(plan, merged, context->plan.decoy_bases);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    idle_arenas_.push_back(std::move(arenas));
+  }
   return response;
 }
 

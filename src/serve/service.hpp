@@ -9,6 +9,14 @@
 // batches finish on the old mapping, which is torn down when the last
 // snapshot drops.
 //
+// Scorecard arenas outlive batches: each batch checks out one arena per
+// pool worker from the service's idle list, walks every rank's index with
+// it (ranks run one after another), and returns it after. A batch thus
+// reuses slots an earlier one sized instead of zero-filling one per
+// peptide again, and the scorecard's cache footprint stays one rank's. An
+// arena serves any generation (its scorecard only grows and is stamped
+// per query), so a hot swap just drops the idle list to free memory.
+//
 // `search_batch` reproduces the one-shot distributed merge bit for bit:
 // every rank's engine searches the whole batch against its partial index,
 // local ids map to global through the plan's mapping table, and the merged
@@ -23,6 +31,7 @@
 
 #include "app/pipeline.hpp"
 #include "common/thread_pool.hpp"
+#include "index/query_arena.hpp"
 #include "serve/protocol.hpp"
 
 namespace lbe::serve {
@@ -81,6 +90,8 @@ class SearchService {
  private:
   mutable std::mutex mutex_;
   std::shared_ptr<const ServingContext> context_;
+  /// Arena sets (one arena per pool worker) not in use by a batch.
+  mutable std::vector<std::vector<index::QueryArena>> idle_arenas_;
 };
 
 }  // namespace lbe::serve

@@ -47,8 +47,13 @@ double Cluster::makespan() const {
 }
 
 void Cluster::meter_locked(int rank) {
+  // Both engines charge a rank the wall time of its own compute slices:
+  // every Comm call meters on entry and restarts the slice on exit, so
+  // time spent blocked (waiting for the token, a message or a barrier) is
+  // never charged. Under kThreads the slices of different ranks overlap
+  // in real time, as their clocks do.
   auto& r = ranks_[static_cast<std::size_t>(rank)];
-  if (options_.measured_time && serialize_) {
+  if (options_.measured_time) {
     const auto now = std::chrono::steady_clock::now();
     const double elapsed =
         std::chrono::duration<double>(now - r.slice_start).count();

@@ -19,9 +19,11 @@
 //    cores the host has (this reproduction runs on one).
 //
 //  * kThreads — all ranks run concurrently on real threads with blocking
-//    mailboxes; used by tests to validate the messaging semantics under
-//    true concurrency. Virtual clocks advance only via explicit charge()
-//    and the cost model.
+//    mailboxes (true concurrency for the messaging semantics, and
+//    `lbectl search --backend threads`). Each rank's clock advances by
+//    the wall time of its own compute slices (preemption by the OS
+//    included, blocked waits excluded as under kVirtual), plus explicit
+//    charge() and the cost model.
 //
 // (The third Transport implementation — real OS processes over Unix-domain
 // sockets — lives in simmpi/process.hpp.)

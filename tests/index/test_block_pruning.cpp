@@ -129,38 +129,34 @@ TEST_F(BlockPruningTest, BoundInvariantsOnDenseIndex) {
 // The core exactness property: with a finite precursor window, the pruned
 // walk must emit candidate-for-candidate (order and bits) what the
 // unpruned walk emits, while actually skipping blocks.
-TEST_F(BlockPruningTest, MassPruningIsExactOnRawAndPackedIndexes) {
+TEST_F(BlockPruningTest, MassPruningIsExact) {
   const auto store = workload_store();
-  SlmIndex index(store, mods_, params_);
+  const SlmIndex index(store, mods_, params_);
 
-  for (const bool packed : {false, true}) {
-    if (packed) index.compress_in_memory();
-    std::uint64_t total_pruned = 0;
-    for (const double window : {5.0, 100.0}) {
-      QueryParams pruned = query_;
-      pruned.precursor_tolerance = window;
-      QueryParams plain = pruned;
-      plain.prune_blocks = false;
+  std::uint64_t total_pruned = 0;
+  for (const double window : {5.0, 100.0}) {
+    QueryParams pruned = query_;
+    pruned.precursor_tolerance = window;
+    QueryParams plain = pruned;
+    plain.prune_blocks = false;
 
-      for (const auto& spectrum : workload().queries) {
-        std::vector<Candidate> out_pruned;
-        std::vector<Candidate> out_plain;
-        QueryWork work_pruned;
-        QueryWork work_plain;
-        index.query(spectrum, pruned, out_pruned, work_pruned);
-        index.query(spectrum, plain, out_plain, work_plain);
-        EXPECT_TRUE(same_candidates(out_pruned, out_plain))
-            << "packed=" << packed << " window=" << window;
-        EXPECT_EQ(work_plain.blocks_pruned, 0u);
-        EXPECT_EQ(work_plain.spans_pruned, 0u);
-        // Pruning only ever removes walked work.
-        EXPECT_LE(work_pruned.postings_touched, work_plain.postings_touched);
-        total_pruned += work_pruned.blocks_pruned;
-      }
+    for (const auto& spectrum : workload().queries) {
+      std::vector<Candidate> out_pruned;
+      std::vector<Candidate> out_plain;
+      QueryWork work_pruned;
+      QueryWork work_plain;
+      index.query(spectrum, pruned, out_pruned, work_pruned);
+      index.query(spectrum, plain, out_plain, work_plain);
+      EXPECT_TRUE(same_candidates(out_pruned, out_plain))
+          << "window=" << window;
+      EXPECT_EQ(work_plain.blocks_pruned, 0u);
+      EXPECT_EQ(work_plain.spans_pruned, 0u);
+      // Pruning only ever removes walked work.
+      EXPECT_LE(work_pruned.postings_touched, work_plain.postings_touched);
+      total_pruned += work_pruned.blocks_pruned;
     }
-    EXPECT_GT(total_pruned, 0u) << "packed=" << packed
-                                << ": mass pruning never fired (vacuous)";
   }
+  EXPECT_GT(total_pruned, 0u) << "mass pruning never fired (vacuous)";
 }
 
 // Candidate sets must also agree with the pre-batching reference walk —
@@ -169,6 +165,7 @@ TEST_F(BlockPruningTest, MassPruningIsExactOnRawAndPackedIndexes) {
 TEST_F(BlockPruningTest, PrunedWalkMatchesReferenceOracle) {
   const auto store = workload_store();
   const SlmIndex index(store, mods_, params_);
+  const auto decoded = index.decoded_postings();
   QueryParams pruned = query_;
   pruned.precursor_tolerance = 50.0;
 
@@ -178,7 +175,7 @@ TEST_F(BlockPruningTest, PrunedWalkMatchesReferenceOracle) {
     std::vector<Candidate> reference;
     QueryWork work;
     index.query(spectrum, pruned, batched, work, arena);
-    index.query_reference(spectrum, pruned, reference, work, arena);
+    index.query_reference(spectrum, pruned, decoded, reference, work, arena);
 
     const auto key = [](const Candidate& c) {
       return std::pair<LocalPeptideId, std::uint32_t>{c.peptide,

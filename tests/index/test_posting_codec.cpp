@@ -1,7 +1,7 @@
 // The v4 posting codec in isolation: round-trips across the width range,
 // degenerate spans, the incompressible fallback, structural validation,
-// and — on hardware that has them — byte-for-byte agreement of the SSE4.1
-// and AVX2 unpack kernels with the scalar reference. The engine-level
+// and — on hardware that has it — byte-for-byte agreement of the AVX2
+// unpack kernel with the scalar reference. The engine-level
 // equivalence (identical psms.tsv per --simd level) is asserted separately
 // by cmake/simd_equivalence_test.cmake and CI.
 #include "index/posting_codec.hpp"
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -60,8 +61,7 @@ class PostingCodecTest : public ::testing::Test {
 
 TEST_F(PostingCodecTest, RoundTripsEveryWidthOnEveryKernel) {
   for (const codec::SimdLevel level :
-       {codec::SimdLevel::kScalar, codec::SimdLevel::kSse,
-        codec::SimdLevel::kAvx2}) {
+       {codec::SimdLevel::kScalar, codec::SimdLevel::kAvx2}) {
     if (!codec::cpu_supports(level)) continue;
     codec::set_simd_level(level);
     ASSERT_EQ(codec::resolved_simd_level(), level);
@@ -83,14 +83,11 @@ TEST_F(PostingCodecTest, KernelsAgreeByteForByte) {
     codec::set_simd_level(codec::SimdLevel::kScalar);
     const auto scalar = round_trip(values);
     ASSERT_EQ(scalar, values);
-    for (const codec::SimdLevel level :
-         {codec::SimdLevel::kSse, codec::SimdLevel::kAvx2}) {
-      if (!codec::cpu_supports(level)) continue;
-      codec::set_simd_level(level);
-      EXPECT_EQ(round_trip(values), scalar)
-          << codec::simd_level_name(level) << " diverges from scalar at "
-          << "width " << width << " count " << count;
-    }
+    if (!codec::cpu_supports(codec::SimdLevel::kAvx2)) continue;
+    codec::set_simd_level(codec::SimdLevel::kAvx2);
+    EXPECT_EQ(round_trip(values), scalar)
+        << "avx2 diverges from scalar at width " << width << " count "
+        << count;
   }
 }
 
@@ -159,8 +156,7 @@ TEST_F(PostingCodecTest, DecodeRangeMatchesFullDecodeOnEveryKernel) {
   // write outside the rounded row range.
   std::mt19937 rng(2024);
   for (const codec::SimdLevel level :
-       {codec::SimdLevel::kScalar, codec::SimdLevel::kSse,
-        codec::SimdLevel::kAvx2}) {
+       {codec::SimdLevel::kScalar, codec::SimdLevel::kAvx2}) {
     if (!codec::cpu_supports(level)) continue;
     codec::set_simd_level(level);
     for (int trial = 0; trial < 40; ++trial) {
@@ -233,6 +229,26 @@ TEST_F(PostingCodecTest, ValidationRejectsMalformedDirectories) {
   EXPECT_THROW(codec::validate_blocks(blocks, values.size() + 200,
                                       bytes.size()),
                lbe::IoError);
+}
+
+TEST_F(PostingCodecTest, SimdLevelSpellings) {
+  for (const codec::SimdLevel level :
+       {codec::SimdLevel::kAuto, codec::SimdLevel::kScalar,
+        codec::SimdLevel::kAvx2}) {
+    EXPECT_EQ(codec::parse_simd_level(codec::simd_level_name(level)), level);
+  }
+  // A spelling that names no kernel is a typed error that lists the valid
+  // levels, not a silent fallback.
+  for (const char* bad : {"sse", "AVX2", ""}) {
+    try {
+      codec::parse_simd_level(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const lbe::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("auto|scalar|avx2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -184,6 +184,44 @@ TEST_F(SlmIndexTest, MemoryBytesTracksPostings) {
   EXPECT_GT(big.memory_bytes(), small.memory_bytes());
 }
 
+// A built index keeps its postings only as the packed stream, sized
+// exactly: the heap it reports is offsets + stream + block directory +
+// bounds, with no u32 posting array and no growth slack.
+TEST_F(SlmIndexTest, BuiltIndexHoldsOnlyThePackedStream) {
+  std::vector<std::string> many;
+  for (int i = 0; i < 200; ++i) {
+    many.push_back("PEPTIDEG" + std::string(1 + i % 7, 'S') + "AK");
+  }
+  const auto store = make_store(many);
+  const SlmIndex index(store, mods_, params_);
+  ASSERT_GT(index.num_postings(), 1000u);
+  const std::uint64_t offsets =
+      (std::uint64_t{params_.binning().num_bins()} + 1) *
+      sizeof(std::uint32_t);
+  EXPECT_EQ(index.memory_bytes(),
+            offsets + index.packed_posting_bytes() +
+                index.block_bounds().size() * sizeof(BlockBound));
+  EXPECT_LT(index.packed_posting_bytes(),
+            index.num_postings() * sizeof(LocalPeptideId));
+
+  // Decoding gives back the CSR array: in-range ids, each bin in the
+  // paper's (precursor mass, id) order.
+  const auto postings = index.decoded_postings();
+  ASSERT_EQ(postings.size(), index.num_postings());
+  const auto occupancy = index.bin_occupancy();
+  std::size_t at = 0;
+  for (const std::uint32_t count : occupancy) {
+    for (std::size_t i = at + 1; i < at + count; ++i) {
+      const auto key = [&](LocalPeptideId id) {
+        return std::pair(store.mass(id), id);
+      };
+      EXPECT_LE(key(postings[i - 1]), key(postings[i]));
+    }
+    at += count;
+  }
+  for (const LocalPeptideId id : postings) EXPECT_LT(id, store.size());
+}
+
 TEST_F(SlmIndexTest, BinOccupancySumsToPostings) {
   const auto store = make_store({"PEPTIDEK", "AAAGGGK"});
   const SlmIndex index(store, mods_, params_);

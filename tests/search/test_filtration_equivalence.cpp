@@ -58,6 +58,7 @@ class FiltrationEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(FiltrationEquivalence, CandidatesByteIdenticalAcrossThresholds) {
   const index::SlmIndex index(store_, mods_, params_);
+  const auto decoded = index.decoded_postings();
   Xoshiro256 rng(GetParam() * 31 + 7);
   index::QueryArena arena_a;
   index::QueryArena arena_b;
@@ -80,7 +81,8 @@ TEST_P(FiltrationEquivalence, CandidatesByteIdenticalAcrossThresholds) {
       index::QueryWork work_a;
       index::QueryWork work_b;
       index.query(query, filter, batched, work_a, arena_a);
-      index.query_reference(query, filter, reference, work_b, arena_b);
+      index.query_reference(query, filter, decoded, reference, work_b,
+                            arena_b);
 
       // Work accounting must agree exactly: the batched walk charges a bin
       // covered by k peaks as k visits and k x its postings.
@@ -115,6 +117,7 @@ TEST_P(FiltrationEquivalence, UnsortedSpectrumStillAgrees) {
   // (legal per spectrum.hpp). The batched sweep must detect the unsorted
   // windows and still produce reference-identical candidates.
   const index::SlmIndex index(store_, mods_, params_);
+  const auto decoded = index.decoded_postings();
   Xoshiro256 rng(GetParam() * 7 + 1);
   index::QueryArena arena;
   index::QueryParams filter;
@@ -140,7 +143,7 @@ TEST_P(FiltrationEquivalence, UnsortedSpectrumStillAgrees) {
     index::QueryWork wa;
     index::QueryWork wb;
     index.query(unsorted, filter, batched, wa, arena);
-    index.query_reference(unsorted, filter, reference, wb, arena);
+    index.query_reference(unsorted, filter, decoded, reference, wb, arena);
     EXPECT_EQ(wa.postings_touched, wb.postings_touched);
     ASSERT_EQ(batched.size(), reference.size());
     std::sort(batched.begin(), batched.end(), candidate_less);
@@ -154,6 +157,7 @@ TEST_P(FiltrationEquivalence, UnsortedSpectrumStillAgrees) {
 
 TEST_P(FiltrationEquivalence, NarrowPrecursorWindowAgrees) {
   const index::SlmIndex index(store_, mods_, params_);
+  const auto decoded = index.decoded_postings();
   Xoshiro256 rng(GetParam() * 17 + 3);
   index::QueryArena arena;
   index::QueryParams narrow;
@@ -169,7 +173,7 @@ TEST_P(FiltrationEquivalence, NarrowPrecursorWindowAgrees) {
     index::QueryWork wa;
     index::QueryWork wb;
     index.query(query, narrow, batched, wa, arena);
-    index.query_reference(query, narrow, reference, wb, arena);
+    index.query_reference(query, narrow, decoded, reference, wb, arena);
     ASSERT_EQ(batched.size(), reference.size());
     std::sort(batched.begin(), batched.end(), candidate_less);
     std::sort(reference.begin(), reference.end(), candidate_less);
@@ -193,6 +197,7 @@ TEST_P(FiltrationEquivalence, EngineResultsByteIdenticalToReferenceEngine) {
   search.top_k = 5;
   const QueryEngine engine(index, mods_, search);
   const index::SlmIndex ref_index(index.store(), mods_, params_);
+  const auto ref_postings = ref_index.decoded_postings();
 
   Xoshiro256 rng(GetParam() * 101 + 13);
   index::QueryArena arena;
@@ -208,8 +213,8 @@ TEST_P(FiltrationEquivalence, EngineResultsByteIdenticalToReferenceEngine) {
     std::vector<index::Candidate> candidates;
     index::QueryWork ref_work;
     index::QueryArena ref_arena;
-    ref_index.query_reference(query, search.filter, candidates, ref_work,
-                              ref_arena);
+    ref_index.query_reference(query, search.filter, ref_postings,
+                              candidates, ref_work, ref_arena);
     // Re-rank reference candidates exactly as the engine does.
     std::sort(candidates.begin(), candidates.end(),
               [](const index::Candidate& a, const index::Candidate& b) {

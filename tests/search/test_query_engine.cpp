@@ -121,7 +121,8 @@ TEST_F(QueryEngineTest, SearchAllMatchesIndividualSearches) {
   for (const auto& seq : kDatabase) queries.push_back(theo(seq));
 
   index::QueryWork work_batch;
-  const auto batch = engine.search_all(queries, work_batch);
+  index::QueryArena arena;
+  const auto batch = engine.search_all(queries, work_batch, {&arena, 1});
 
   index::QueryWork work_single;
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -143,10 +144,13 @@ TEST_F(QueryEngineTest, SearchAllWithThreadPoolSameResults) {
   for (const auto& seq : kDatabase) queries.push_back(theo(seq));
 
   index::QueryWork work_serial;
-  const auto serial = engine.search_all(queries, work_serial);
+  index::QueryArena arena;
+  const auto serial = engine.search_all(queries, work_serial, {&arena, 1});
   ThreadPool pool(3);
+  std::vector<index::QueryArena> worker_arenas(pool.size());
   index::QueryWork work_pooled;
-  const auto pooled = engine.search_all(queries, work_pooled, &pool);
+  const auto pooled =
+      engine.search_all(queries, work_pooled, worker_arenas, &pool);
 
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

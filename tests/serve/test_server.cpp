@@ -15,6 +15,7 @@
 
 #include "app/pipeline.hpp"
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "search/report.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -107,6 +108,61 @@ TEST(ServeServer, DaemonRowsMatchOneShotPipeline) {
 
   EXPECT_FALSE(daemon_rows.empty());
   EXPECT_EQ(rows_to_tsv(daemon_rows), rows_to_tsv(oneshot_rows));
+}
+
+// The service keeps scorecard arenas across batches. Reused arenas —
+// serially, from concurrent batches, with and without a worker pool, and
+// across a hot swap — must not change a single row.
+TEST(ServeService, RepeatedAndConcurrentBatchesMatchOneShot) {
+  ServerEnv& e = env();
+  app::QueryBundle bundle;
+  bundle.spectra = e.spectra;
+  bundle.origin = "<synthetic>";
+  const app::SearchOutcome oneshot = app::run_search_pipeline(
+      e.context->plan, bundle, e.opts, e.context->warm.get());
+  const std::string expected = rows_to_tsv(
+      search::resolve_psms(*e.context->plan.plan, oneshot.report.results,
+                           e.context->plan.decoy_bases));
+
+  SearchService service(e.context);
+  const auto pass = [&](ThreadPool* pool) {
+    std::vector<search::ResolvedPsm> rows;
+    for (std::size_t lo = 0; lo < e.spectra.size(); lo += kBatch) {
+      const std::size_t hi = std::min(e.spectra.size(), lo + kBatch);
+      const std::vector<chem::Spectrum> spectra(e.spectra.begin() + lo,
+                                                e.spectra.begin() + hi);
+      const SearchResponse response = service.search_batch(
+          spectra, static_cast<std::uint32_t>(lo), pool);
+      rows.insert(rows.end(), response.rows.begin(), response.rows.end());
+    }
+    return rows_to_tsv(rows);
+  };
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_EQ(pass(nullptr), expected) << "serial pass " << repeat;
+  }
+
+  constexpr int kClients = 4;
+  std::array<std::string, kClients> results;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ThreadPool pool(2);
+      std::string out;
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        const std::string rows = pass(c % 2 == 0 ? nullptr : &pool);
+        if (rows != expected) out = rows;
+        // A hot swap mid-stream: batches in flight finish on their
+        // generation's arenas, later ones start fresh.
+        if (c == 0 && repeat == 0) service.replace(e.context);
+      }
+      results[static_cast<std::size_t>(c)] = out;
+    });
+  }
+  for (auto& client : clients) client.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(results[static_cast<std::size_t>(c)], "")
+        << "client " << c << " diverged from one-shot";
+  }
 }
 
 TEST(ServeServer, PingReportsTheServingShape) {

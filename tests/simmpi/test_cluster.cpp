@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <vector>
 
 namespace lbe::mpi {
@@ -263,6 +264,26 @@ INSTANTIATE_TEST_SUITE_P(Engines, ClusterEngines,
                            return info.param == Engine::kVirtual ? "Virtual"
                                                                  : "Threads";
                          });
+
+// Under kThreads each rank's clock is the wall time of its own compute
+// slices: a rank that computes for 20 ms reports at least that. (An idle
+// rank's clock is not bounded here: preemption between its slices is
+// charged to it, so any bound would depend on the host's scheduling.)
+TEST(ClusterThreads, ClockAdvancesByOwnRunningTime) {
+  ClusterOptions options;
+  options.ranks = 2;
+  options.engine = Engine::kThreads;  // measured_time: the default
+  Cluster cluster(options);
+  cluster.run([](Comm& comm) {
+    if (comm.rank() != 0) return;
+    const auto start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - start <
+           std::chrono::milliseconds(20)) {
+    }
+  });
+  EXPECT_GE(cluster.reports()[0].vclock, 0.02);
+  EXPECT_GE(cluster.makespan(), 0.02);
+}
 
 TEST(ClusterOptionsValidation, RejectsBadConfigs) {
   ClusterOptions options;
