@@ -1,10 +1,9 @@
 # SIMD equivalence acceptance test (ctest `lbectl_simd_equivalence`):
-# one prepared bundle, searched warm at every decode kernel the CPU
-# supports (--simd scalar/avx2 over the mapped path), must produce a
-# psms.tsv byte-identical to the eager streamed load decoded by the scalar
-# kernel (--mmap off --simd scalar). Unsupported levels are skipped with a
-# notice — lbectl clamps them to the best available kernel, so a cmp there
-# would only re-test the fallback.
+# one prepared bundle, searched warm (mapped) at every wider decode kernel
+# the CPU supports (--simd avx2), must produce a psms.tsv byte-identical to
+# the same warm search decoded by the scalar kernel (--simd scalar).
+# Unsupported levels are skipped with a notice — lbectl clamps them to the
+# best available kernel, so a cmp there would only re-test the fallback.
 # Invoked as:
 #   cmake -DLBECTL=<lbectl> -DWORK_DIR=<scratch> -P simd_equivalence_test.cmake
 
@@ -20,24 +19,23 @@ if(NOT status EQUAL 0)
   message(FATAL_ERROR "lbectl prepare failed (${status})")
 endif()
 
-# Baseline: eager streamed warm start, pinned to the scalar kernel. Every
-# load decodes the packed postings, so the baseline must name its kernel:
-# otherwise `auto` would make the AVX2 kernel its own oracle. Byte-identity
-# against this run proves both the codec kernels and the lazy mapped path
-# change nothing observable.
+# Baseline: mapped warm start pinned to the scalar kernel. Every search
+# decodes the packed postings, so the baseline must name its kernel:
+# otherwise `auto` would make the AVX2 kernel its own oracle. (That the
+# mapped path itself matches a cold rebuild is lbectl_warm_start_identical.)
 execute_process(
   COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
-          --index ${WORK_DIR}/prep --mmap off --simd scalar
+          --index ${WORK_DIR}/prep --simd scalar
           --out ${WORK_DIR}/baseline
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "baseline lbectl search --mmap off failed (${status})")
+  message(FATAL_ERROR "baseline lbectl search --simd scalar failed (${status})")
 endif()
 
-foreach(simd_level scalar avx2)
+foreach(simd_level avx2)
   execute_process(
     COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
-            --index ${WORK_DIR}/prep --mmap on --simd ${simd_level}
+            --index ${WORK_DIR}/prep --simd ${simd_level}
             --out ${WORK_DIR}/simd_${simd_level}
     OUTPUT_VARIABLE search_output
     ERROR_VARIABLE search_stderr
@@ -64,10 +62,10 @@ foreach(simd_level scalar avx2)
     RESULT_VARIABLE status)
   if(NOT status EQUAL 0)
     message(FATAL_ERROR
-            "--simd ${simd_level} psms.tsv differs from the eager baseline")
+            "--simd ${simd_level} psms.tsv differs from the scalar baseline")
   endif()
   message(STATUS
-          "--simd ${simd_level} psms.tsv is byte-identical to the eager "
+          "--simd ${simd_level} psms.tsv is byte-identical to the scalar "
           "baseline")
 endforeach()
 

@@ -1,8 +1,7 @@
 # Warm-start acceptance test (ctest `lbectl_warm_start_identical`):
 # prepare writes the plan + index bundle, then a warm `search --index` must
-# produce a byte-identical psms.tsv to a cold rebuild — through BOTH warm
-# load paths: `--mmap on` (mapped, lazy chunks; the default) and
-# `--mmap off` (eager streamed load).
+# produce a byte-identical psms.tsv to a cold rebuild. The warm path maps
+# every rank file and materializes chunks lazily on first query touch.
 # Invoked as:
 #   cmake -DLBECTL=<lbectl> -DWORK_DIR=<scratch> -P warm_start_test.cmake
 
@@ -26,38 +25,34 @@ if(NOT status EQUAL 0)
   message(FATAL_ERROR "cold lbectl search failed (${status})")
 endif()
 
-foreach(mmap_mode on off)
-  execute_process(
-    COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
-            --index ${WORK_DIR}/prep --mmap ${mmap_mode}
-            --out ${WORK_DIR}/warm_${mmap_mode}
-    OUTPUT_VARIABLE warm_output
-    RESULT_VARIABLE status)
-  if(NOT status EQUAL 0)
-    message(FATAL_ERROR
-            "warm lbectl search --mmap ${mmap_mode} failed (${status})")
-  endif()
-  if(NOT warm_output MATCHES "warm start: loaded")
-    message(FATAL_ERROR
-            "warm search --mmap ${mmap_mode} did not report a warm start:\n"
-            "${warm_output}")
-  endif()
-  if(mmap_mode STREQUAL "on" AND NOT warm_output MATCHES "mmap, lazy chunks")
-    message(FATAL_ERROR
-            "warm search --mmap on did not take the mapped path:\n"
-            "${warm_output}")
-  endif()
+execute_process(
+  COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
+          --index ${WORK_DIR}/prep --out ${WORK_DIR}/warm
+  OUTPUT_VARIABLE warm_output
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "warm lbectl search failed (${status})")
+endif()
+if(NOT warm_output MATCHES "warm start: loaded .* \\(mmap, lazy chunks\\)")
+  message(FATAL_ERROR
+          "warm search did not report a mapped warm start:\n${warm_output}")
+endif()
 
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/cold/psms.tsv ${WORK_DIR}/warm_${mmap_mode}/psms.tsv
-    RESULT_VARIABLE status)
-  if(NOT status EQUAL 0)
-    message(FATAL_ERROR
-            "warm-start (--mmap ${mmap_mode}) psms.tsv differs from the "
-            "cold rebuild")
-  endif()
-  message(STATUS
-          "warm-start (--mmap ${mmap_mode}) psms.tsv is byte-identical to "
-          "the cold rebuild")
-endforeach()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORK_DIR}/cold/psms.tsv ${WORK_DIR}/warm/psms.tsv
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "warm-start psms.tsv differs from the cold rebuild")
+endif()
+message(STATUS "warm-start psms.tsv is byte-identical to the cold rebuild")
+
+# Mapping is the only warm-start path, so there is no load-mode switch:
+# `--mmap` is an unknown key (exit 2), never silently ignored.
+execute_process(
+  COMMAND ${LBECTL} search ${COMMON} --mmap off --out ${WORK_DIR}/mmap_off
+  OUTPUT_QUIET ERROR_QUIET
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 2)
+  message(FATAL_ERROR "search --mmap off should exit 2, got ${status}")
+endif()

@@ -88,12 +88,14 @@ int run_prepare(const AppOptions& opts) {
     index::save_index_manifest(index_dir, manifest);
   }
   std::uint64_t total_bytes = 0;
+  std::uint64_t total_postings = 0;
   for (int rank = 0; rank < ranks; ++rank) {
     const index::ChunkedIndex partial(plan.plan->build_rank_store(rank),
                                       plan.plan->mods(), opts.search.index,
                                       opts.search.chunking);
     partial.save_file(index::bundle_rank_path(index_dir, rank));
     total_bytes += partial.memory_bytes();
+    total_postings += partial.num_postings();
     std::printf("wrote %s: %zu entries, %llu postings\n",
                 index::bundle_rank_path(index_dir, rank).c_str(),
                 partial.num_peptides(),
@@ -102,15 +104,20 @@ int run_prepare(const AppOptions& opts) {
 
   // Round-trip the whole bundle as a self-check: an index set that cannot
   // be read back — or that fails its own manifest validation — is worse
-  // than none. Force the eager path so every chunk payload is actually
-  // re-read, CRC-verified and range-checked posting by posting (a lazy
-  // mapped check would stop at metadata). The postings stay packed: the
-  // check decodes one block at a time into scratch.
-  AppOptions self_check = opts;
-  self_check.index_mmap = false;
-  const auto reloaded = try_load_warm_indexes(index_dir, plan, db,
-                                              self_check);
+  // than none. Mapping validates only metadata, so force every chunk of
+  // every rank: materializing one CRC-verifies its payload, validates its
+  // block directory and bounds, and range-checks every posting (one block
+  // at a time into scratch, no heap copy of the bundle).
+  const auto reloaded = try_load_warm_indexes(index_dir, plan, db, opts);
   LBE_CHECK(reloaded != nullptr, "index bundle failed its reload self-check");
+  std::uint64_t reloaded_postings = 0;
+  for (const auto& rank : reloaded->per_rank) {
+    reloaded_postings += rank->num_postings();
+    LBE_CHECK(rank->num_chunks_loaded() == rank->num_chunks(),
+              "index bundle self-check left a chunk unvalidated");
+  }
+  LBE_CHECK(reloaded_postings == total_postings,
+            "index bundle self-check read back a different posting count");
   std::printf("prepared %d rank indexes + %s (%.1f MiB in-memory total)\n",
               ranks, index::bundle_manifest_path(index_dir).c_str(),
               static_cast<double>(total_bytes) / (1024.0 * 1024.0));
@@ -132,9 +139,9 @@ int run_search(const AppOptions& opts) {
   if (!opts.index_dir.empty()) {
     warm = try_load_warm_indexes(opts.index_dir, plan, inputs.database, opts);
     if (warm != nullptr) {
-      std::printf("warm start: loaded %d rank indexes from %s%s\n",
-                  warm->ranks(), opts.index_dir.c_str(),
-                  opts.index_mmap ? " (mmap, lazy chunks)" : "");
+      std::printf("warm start: loaded %d rank indexes from %s "
+                  "(mmap, lazy chunks)\n",
+                  warm->ranks(), opts.index_dir.c_str());
     }
   }
 
@@ -248,7 +255,7 @@ int run_serve(const AppOptions& opts) {
   std::printf("serve: %d rank indexes resident%s\n", context->warm->ranks(),
               opts.index_dir.empty()
                   ? " (built in memory; use --index for a prepared bundle)"
-                  : (opts.index_mmap ? " (mmap, lazy chunks)" : " (eager)"));
+                  : " (mmap, lazy chunks)");
 
   serve::ServerConfig config;
   config.socket_path = opts.socket_path;

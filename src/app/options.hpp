@@ -31,11 +31,6 @@ struct AppOptions {
   /// `search`: bundle directory from `prepare --index-out`; load instead of
   /// rebuilding per-rank indexes (falls back to rebuild on params mismatch).
   std::string index_dir;
-  /// `--mmap on|off` (default on): warm-start by mmapping rank files and
-  /// materializing chunks lazily on first query touch, instead of eagerly
-  /// streaming every array into heap vectors. Results are identical; only
-  /// time-to-first-query and peak RSS change.
-  bool index_mmap = true;
   /// `--simd auto|scalar|avx2`: posting-decode kernel for the packed
   /// postings (index/posting_codec.hpp). `auto` (default)
   /// resolves to the widest ISA the CPU supports; results are

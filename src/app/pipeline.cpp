@@ -353,10 +353,8 @@ std::unique_ptr<index::IndexBundle> try_load_warm_indexes(
     const AppOptions& opts) {
   std::unique_ptr<index::IndexBundle> bundle;
   try {
-    bundle = std::make_unique<index::IndexBundle>(index::load_index_bundle(
-        dir, db.mods,
-        opts.index_mmap ? index::BundleLoadMode::kMapped
-                        : index::BundleLoadMode::kEager));
+    bundle = std::make_unique<index::IndexBundle>(
+        index::load_index_bundle(dir, db.mods));
   } catch (const index::serialize::FormatVersionError& e) {
     // A bundle from an older (or newer) format is stale, not corrupt:
     // warn and rebuild, exactly like a plan-parameter mismatch below.

@@ -117,9 +117,9 @@ class ByteReader {
     }
     const auto raw = take(count * sizeof(T));
     // Check the REAL pointer, not just the buffer-relative offset: mapped
-    // files are page-aligned, but stream loads wrap heap buffers whose
-    // base alignment the standard does not promise (practice does — this
-    // turns an allocator surprise into IoError instead of misaligned UB).
+    // files are page-aligned, but a reader over a heap buffer has a base
+    // alignment the standard does not promise (practice does — this turns
+    // an allocator surprise into IoError instead of misaligned UB).
     if (count != 0 &&
         reinterpret_cast<std::uintptr_t>(raw.data()) % alignof(T) != 0) {
       throw IoError("mapped read failed: misaligned array (corrupt file?)");

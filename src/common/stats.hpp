@@ -1,14 +1,25 @@
-// Streaming statistics and fixed-width histograms.
+// Streaming statistics, fixed-width histograms and ln(k!).
 //
-// Used by the perf module (load-imbalance analysis) and by the index
-// (postings-per-bin distributions feeding the load-prediction model).
+// Used by the perf module (load-imbalance analysis), by the index
+// (postings-per-bin distributions feeding the load-prediction model) and by
+// both scores (filtration ranking and hyperscore share log_factorial).
 #pragma once
+
+#include <math.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace lbe {
+
+/// ln(k!) = lgamma(k + 1), via the reentrant lgamma_r: std::lgamma writes
+/// the global `signgam`, a data race when query threads score
+/// concurrently. Both compute the same value.
+inline double log_factorial(double k) {
+  int sign = 0;
+  return ::lgamma_r(k + 1.0, &sign);
+}
 
 /// Welford streaming accumulator: mean/variance/min/max without storing
 /// samples.

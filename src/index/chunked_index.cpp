@@ -268,10 +268,10 @@ void ChunkedIndex::save(std::ostream& out) const {
 
 namespace {
 
-/// Shared directory-entry validation: extents must tile the payload region
+/// Directory-entry validation: extents must tile the payload region
 /// exactly so no byte of the file escapes a validated region.
 void validate_dir_entry(const ChunkDirEntry& entry, std::uint64_t& expected,
-                        std::uint64_t file_size_or_zero) {
+                        std::uint64_t file_size) {
   namespace sz = serialize;
   sz::require(entry.offset == expected, "chunk extent out of order");
   sz::require(entry.offset % 8 == 0, "misaligned chunk extent");
@@ -282,71 +282,10 @@ void validate_dir_entry(const ChunkDirEntry& entry, std::uint64_t& expected,
   sz::require(!(entry.mass_hi < entry.mass_lo), "inverted chunk mass range");
   sz::require(entry.reserved == 0, "non-zero reserved directory field");
   expected = entry.offset + entry.size;
-  if (file_size_or_zero != 0) {
-    sz::require(expected <= file_size_or_zero,
-                "chunk extent past end of file");
-  }
+  sz::require(expected <= file_size, "chunk extent past end of file");
 }
 
 }  // namespace
-
-std::unique_ptr<ChunkedIndex> ChunkedIndex::load(
-    std::istream& in, const chem::ModificationSet& mods,
-    const IndexParams& index_params) {
-  namespace sz = serialize;
-  std::uint64_t cursor = 0;
-  sz::read_header(in, sz::Kind::kChunkedIndex);
-  cursor += sz::kHeaderBytes;
-  std::uint64_t chunk_count = 0;
-  {
-    std::istringstream payload(
-        bin::read_raw_section(in, cursor, sz::kSecParams));
-    const IndexParams stored = sz::read_index_params(payload);
-    if (!sz::same_index_params(stored, index_params)) {
-      throw IoError("index file was built with different IndexParams");
-    }
-    chunk_count = bin::read_pod<std::uint64_t>(payload);
-    sz::require(chunk_count <= bin::kMaxElements, "implausible chunk count");
-  }
-
-  PeptideStore store = PeptideStore::load(in, &mods, cursor);
-  // Adopt via the non-building constructor; chunks reference the member
-  // store, whose address is stable behind the unique_ptr.
-  std::unique_ptr<ChunkedIndex> index(
-      new ChunkedIndex(std::move(store), mods, index_params, nullptr));
-
-  const std::string dir_payload =
-      bin::read_raw_section(in, cursor, sz::kSecChunkDir);
-  sz::require(dir_payload.size() == chunk_count * sizeof(ChunkDirEntry),
-              "chunk directory size mismatch");
-  bin::ByteReader dir(std::as_bytes(std::span(dir_payload)));
-  std::uint64_t expected_offset = cursor;
-  for (std::uint64_t c = 0; c < chunk_count; ++c) {
-    const auto entry = dir.read_pod<ChunkDirEntry>();
-    validate_dir_entry(entry, expected_offset, 0);
-
-    const std::string payload = bin::read_exact(in, entry.size);
-    cursor += entry.size;
-    if (bin::crc32(payload) != entry.crc) {
-      throw IoError("binary read failed: chunk payload checksum mismatch "
-                    "(corrupt file?)");
-    }
-    bin::ByteReader reader(std::as_bytes(std::span(payload)));
-    Chunk chunk;
-    chunk.mass_lo = entry.mass_lo;
-    chunk.mass_hi = entry.mass_hi;
-    chunk.index = std::make_unique<SlmIndex>(SlmIndex::parse_arrays_payload(
-        reader, index->store_, mods, index_params, nullptr));
-    sz::require(reader.remaining() == 0, "chunk payload trailing bytes");
-    index->chunks_.push_back(std::move(chunk));
-  }
-  // Same end-of-data discipline as map_file: nothing may follow the last
-  // chunk extent, or the two load modes would disagree on validity.
-  sz::require(in.peek() == std::istream::traits_type::eof(),
-              "trailing bytes after the last chunk extent");
-  index->publish_all_chunks();
-  return index;
-}
 
 std::unique_ptr<ChunkedIndex> ChunkedIndex::map_file(
     const std::string& path, const chem::ModificationSet& mods,
@@ -406,14 +345,6 @@ void ChunkedIndex::save_file(const std::string& path) const {
   if (!out) throw IoError("index write failed: " + path);
 }
 
-std::unique_ptr<ChunkedIndex> ChunkedIndex::load_file(
-    const std::string& path, const chem::ModificationSet& mods,
-    const IndexParams& index_params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open index file: " + path);
-  return load(in, mods, index_params);
-}
-
 std::vector<std::uint64_t> ChunkedIndex::bin_occupancy() const {
   std::vector<std::uint64_t> total(index_params_.binning().num_bins(), 0);
   for (std::size_t c = 0; c < chunks_.size(); ++c) {
@@ -425,13 +356,16 @@ std::vector<std::uint64_t> ChunkedIndex::bin_occupancy() const {
   return total;
 }
 
-const std::vector<std::uint64_t>& ChunkedIndex::occupancy_prefix() const {
+std::shared_ptr<const std::vector<std::uint64_t>>
+ChunkedIndex::occupancy_prefix() const {
   std::call_once(occupancy_once_, [&] {
     const auto occupancy = bin_occupancy();
-    occupancy_prefix_.assign(occupancy.size() + 1, 0);
+    auto prefix = std::make_shared<std::vector<std::uint64_t>>(
+        occupancy.size() + 1, 0);
     for (std::size_t b = 0; b < occupancy.size(); ++b) {
-      occupancy_prefix_[b + 1] = occupancy_prefix_[b] + occupancy[b];
+      (*prefix)[b + 1] = (*prefix)[b] + occupancy[b];
     }
+    occupancy_prefix_ = std::move(prefix);
   });
   return occupancy_prefix_;
 }

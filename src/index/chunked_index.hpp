@@ -10,16 +10,17 @@
 // no chunk's posting array outgrows practical array indexing.
 //
 // Every chunk keeps its postings in one form, the packed block stream of
-// index/posting_codec.hpp, however it came to be. Warm starts come in two
-// flavours. `load`/`load_file` copies every chunk's packed arrays into
-// owned vectors up front (eager). `map_file` mmaps the
-// rank file, validates only the metadata (params, store columns, chunk
-// directory) and *lazily* materializes a chunk — CRC check plus in-place
+// index/posting_codec.hpp, however it came to be. An index is either built
+// in memory (owned arrays) or revived from a rank file by `map_file`, the
+// one warm-start path: it mmaps the file, validates only the metadata
+// (params, store columns, chunk directory) and *lazily* materializes a
+// chunk — CRC check, structural and posting-range checks, then in-place
 // span binding, no copy — the first time a query window intersects it. A
-// narrow-window search over a mapped index therefore reaches its first
-// query without reading most of the file, and peak RSS scales with the
-// chunks actually visited. Materialization is thread-safe (the engine
-// fans queries over one index from many threads).
+// narrow-window search therefore reaches its first query without reading
+// most of the file, and peak RSS scales with the chunks actually visited;
+// `num_postings()` forces every chunk, which is how a caller validates a
+// whole file up front. Materialization is thread-safe (the engine fans
+// queries over one index from many threads).
 #pragma once
 
 #include <atomic>
@@ -65,7 +66,7 @@ class ChunkedIndex {
   /// True when backed by a mapped file with lazily materialized chunks.
   bool mapped() const noexcept { return mapping_ != nullptr; }
 
-  /// Chunks whose arrays are resident (always num_chunks() when eager).
+  /// Chunks whose arrays are resident (always num_chunks() when built).
   std::size_t num_chunks_loaded() const noexcept;
 
   /// Mass range [lo, hi] covered by chunk `c`.
@@ -110,38 +111,31 @@ class ChunkedIndex {
   /// call — the cost model's O(1)-per-span lookup table. Under work
   /// stealing a thief building a cost model against a victim's shared
   /// index reuses the owner's build-phase computation instead of
-  /// re-walking every chunk mid-query-phase. Thread-safe; forces
+  /// re-walking every chunk mid-query-phase. Shared ownership lets a model
+  /// outlive the index it was built from. Thread-safe; forces
   /// materialization on a mapped index (on the first call only).
-  const std::vector<std::uint64_t>& occupancy_prefix() const;
+  std::shared_ptr<const std::vector<std::uint64_t>> occupancy_prefix() const;
 
   const IndexParams& index_params() const noexcept { return index_params_; }
 
   /// On-disk format (the paper's §II-B disk-resident chunks): store columns
   /// plus a chunk directory (mass range, file extent, CRC per chunk)
   /// followed by the chunks' raw aligned array payloads, all in the
-  /// versioned container of index/serialize.hpp. `load` revives the index
-  /// eagerly without re-fragmenting anything; `map_file` binds it lazily
-  /// out of an mmap. The caller must supply the same ModificationSet and
-  /// IndexParams used at build; corrupt or mismatched input raises
-  /// IoError (for `map_file`, corruption inside a chunk payload raises it
-  /// at first query touch instead of map time).
+  /// versioned container of index/serialize.hpp. `map_file` revives the
+  /// index out of an mmap without re-fragmenting anything. The caller must
+  /// supply the same ModificationSet and IndexParams used at build;
+  /// corrupt or mismatched metadata raises IoError at map time, corruption
+  /// inside a chunk payload at that chunk's first touch.
   void save(std::ostream& out) const;
-  static std::unique_ptr<ChunkedIndex> load(std::istream& in,
-                                            const chem::ModificationSet& mods,
-                                            const IndexParams& index_params);
-
   void save_file(const std::string& path) const;
-  static std::unique_ptr<ChunkedIndex> load_file(
-      const std::string& path, const chem::ModificationSet& mods,
-      const IndexParams& index_params);
   static std::unique_ptr<ChunkedIndex> map_file(
       const std::string& path, const chem::ModificationSet& mods,
       const IndexParams& index_params);
 
  private:
   struct Chunk {
-    /// Owned arrays; null for a mapped chunk not yet materialized (then
-    /// guarded by materialize_mutex_ / published through live_).
+    /// Null for a mapped chunk not yet materialized (then guarded by
+    /// materialize_mutex_ / published through live_).
     mutable std::unique_ptr<SlmIndex> index;
     Mass mass_lo = 0.0;
     Mass mass_hi = 0.0;
@@ -152,11 +146,11 @@ class ChunkedIndex {
     std::uint32_t extent_crc = 0;
   };
 
-  /// Load-path constructor: adopts the store without building chunks.
+  /// Map-path constructor: adopts the store without building chunks.
   ChunkedIndex(PeptideStore store, const chem::ModificationSet& mods,
                const IndexParams& index_params, std::nullptr_t);
 
-  /// Marks every chunk resident (cold build / eager load).
+  /// Marks every chunk resident (cold build).
   void publish_all_chunks() noexcept;
 
   /// Resident chunk accessor; materializes a mapped chunk on first touch
@@ -173,7 +167,7 @@ class ChunkedIndex {
   mutable std::vector<std::atomic<const SlmIndex*>> live_;
   mutable std::mutex materialize_mutex_;
   mutable std::once_flag occupancy_once_;
-  mutable std::vector<std::uint64_t> occupancy_prefix_;
+  mutable std::shared_ptr<const std::vector<std::uint64_t>> occupancy_prefix_;
   std::shared_ptr<const bin::MmapFile> mapping_;
   // Backs the no-arena convenience overload only (shared across chunks so
   // a chunked index pays for one scorecard, not one per chunk).

@@ -19,13 +19,14 @@
 // 8-byte boundary, so the payload does too, and every array inside a
 // payload is padded to 8 — which is what lets the warm-start path mmap a
 // rank file and view postings/offsets/columns in place instead of copying
-// them (common/mmap_file.hpp). A chunked-index file additionally carries a
-// chunk *directory* (mass range + file extent + CRC per chunk) so chunk
-// payloads can be validated and materialized lazily, on first query touch.
-// The manifest keeps the unaligned v2-style section framing — it is tiny
-// and never mapped.
+// them (common/mmap_file.hpp). Mapping is the only way a rank file is read
+// back. A chunked-index file additionally carries a chunk *directory*
+// (mass range + file extent + CRC per chunk) so chunk payloads can be
+// validated and materialized lazily, on first query touch. The manifest
+// keeps the unaligned v2-style section framing — it is tiny, read through
+// a stream and never mapped.
 //
-// Every payload is CRC-32 checked on read (eager sections at load, lazy
+// Every payload is CRC-32 checked on read (metadata sections at map time,
 // chunk extents on first touch) and alignment padding is verified zero; a
 // flipped bit anywhere raises IoError instead of corrupting a search.
 // Components nest as complete streams (a chunked-index file embeds a full
@@ -65,22 +66,20 @@ inline constexpr std::uint32_t kMagic = 0x5845424Cu;
 /// replaces each chunk's raw u32 posting array with bit-packed
 /// frame-of-reference blocks plus a per-block directory
 /// (index/posting_codec.hpp), the one form SlmIndex holds postings in:
-/// eager loads copy the packed extents, mapped loads bind them in place,
-/// and queries decode spans through the runtime-selected scalar/AVX2
-/// kernel.
+/// a mapped load binds the packed extents in place, and queries decode
+/// spans through the runtime-selected scalar/AVX2 kernel.
 /// Version 5 appends per-block bound metadata (BlockBound: precursor-mass
 /// range + max per-peptide fragment count, one record per 128-posting
 /// codec block) to each chunk's arrays payload, so the span walk can skip
 /// blocks that cannot contribute a reportable candidate (block-max
-/// pruning); bounds are validated at parse and bound in both eager and
-/// mapped loads.
+/// pruning); bounds are validated at parse and bound in place.
 inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// What a stream claims to contain; read_header rejects mismatches so a
 /// rank file can never be mistaken for a manifest.
 enum class Kind : std::uint32_t {
   kPeptideStore = 1,
-  kSlmIndex = 2,
+  // 2 is reserved: it marked the former standalone SlmIndex file.
   kChunkedIndex = 3,
   kMappingTable = 4,
   kManifest = 5,
@@ -89,12 +88,11 @@ enum class Kind : std::uint32_t {
 // Section tags (unique per enclosing kind, not globally).
 inline constexpr std::uint32_t kSecParams = 0x01;
 inline constexpr std::uint32_t kSecColumns = 0x02;
-inline constexpr std::uint32_t kSecArrays = 0x03;
 inline constexpr std::uint32_t kSecChunk = 0x04;
 inline constexpr std::uint32_t kSecMapping = 0x05;
 inline constexpr std::uint32_t kSecLbeParams = 0x06;
 /// v3 chunk directory: per chunk {mass range, file extent, payload CRC}.
-/// Validated eagerly at load so routing decisions (which chunks a precursor
+/// Validated at map time so routing decisions (which chunks a precursor
 /// window touches) never depend on unvalidated bytes; the chunk payloads it
 /// points at are CRC-checked lazily, on first touch.
 inline constexpr std::uint32_t kSecChunkDir = 0x07;
@@ -117,7 +115,7 @@ class FormatVersionError : public IoError {
 void write_header(std::ostream& out, Kind kind);
 
 /// Throws IoError on bad magic or wrong kind, FormatVersionError on an
-/// unsupported format version.
+/// unsupported format version. Stream form: the manifest and mapping table.
 void read_header(std::istream& in, Kind expected);
 
 /// Mapped twin of read_header, consuming from a byte cursor.
@@ -172,25 +170,16 @@ void save_index_manifest(const std::string& dir, const IndexBundle& bundle);
 /// Throws IoError on any write failure.
 void save_index_bundle(const std::string& dir, const IndexBundle& bundle);
 
-/// How `load_index_bundle` revives rank files.
-enum class BundleLoadMode {
-  /// Stream every array of every chunk into freshly allocated vectors and
-  /// validate everything up front (the pre-v3 behaviour).
-  kEager,
-  /// mmap each rank file and bind arrays in place; the store columns and
-  /// chunk directory are validated at map time, chunk payloads lazily on
-  /// first query touch. Peak RSS and time-to-first-query scale with the
-  /// chunks a workload actually visits, not with the bundle.
-  kMapped,
-};
-
-/// Loads a bundle written by save_index_bundle. `mods` must be the same
+/// Loads a bundle written by save_index_bundle: reads the manifest and
+/// mmaps each rank file (ChunkedIndex::map_file). The store columns and
+/// chunk directory are validated here, chunk payloads on first query
+/// touch, so peak RSS and time-to-first-query scale with the chunks a
+/// workload actually visits, not with the bundle. `mods` must be the same
 /// modification set the indexes were built under and must outlive the
-/// bundle. Throws IoError on missing/truncated/corrupt files or when a
-/// rank file disagrees with the manifest's mapping table (for kMapped,
-/// corruption inside a chunk payload surfaces at first touch instead).
+/// bundle. Throws IoError on missing/truncated/corrupt metadata or when a
+/// rank file disagrees with the manifest's mapping table; corruption
+/// inside a chunk payload surfaces at that chunk's first touch.
 IndexBundle load_index_bundle(const std::string& dir,
-                              const chem::ModificationSet& mods,
-                              BundleLoadMode mode = BundleLoadMode::kEager);
+                              const chem::ModificationSet& mods);
 
 }  // namespace lbe::index

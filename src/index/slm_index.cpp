@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <istream>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
@@ -99,10 +97,6 @@ SlmIndex::SlmIndex(const PeptideStore& store,
   // with this scope.
   codec::encode(postings, blocks_storage_, packed_storage_);
   posting_count_ = postings.size();
-  bind_owned();
-}
-
-void SlmIndex::bind_owned() noexcept {
   bin_offsets_ = bin_offsets_storage_;
   blocks_ = blocks_storage_;
   packed_ = packed_storage_;
@@ -255,7 +249,7 @@ void SlmIndex::query(const chem::Spectrum& spectrum,
 
 namespace {
 
-/// Absorbs float-accumulation and lgamma rounding slack in the score-bound
+/// Absorbs float-accumulation and ln(k!) rounding slack in the score-bound
 /// test: a block is pruned only when its upper bound clears the floor by
 /// more than this, so the bound stays conservative.
 constexpr double kScoreBoundSlack = 1e-4;
@@ -391,7 +385,7 @@ void SlmIndex::query_impl(const chem::Spectrum& spectrum,
         const double count_bound = bound.max_frags * mult_max;
         const double intensity_bound = bound.max_frags * span_intensity_max;
         const double upper =
-            std::lgamma(count_bound + 1.0) + std::log1p(intensity_bound);
+            log_factorial(count_bound) + std::log1p(intensity_bound);
         skip = upper + kScoreBoundSlack < score_floor;
       }
       if (skip) {
@@ -623,7 +617,7 @@ SlmIndex SlmIndex::parse_arrays_payload(
   // scorecard indexes slots by posting with no bounds check. Each block is
   // decoded once into scratch for this check alone — queries re-decode per
   // span — so corruption that survives the CRC (a stale-but-valid file for
-  // a different store) fails at load or first touch, never mid-walk.
+  // a different store) fails at first touch, never mid-walk.
   std::uint32_t scratch[codec::kBlockValues];
   for (std::size_t b = 0; b < blocks_view.size(); ++b) {
     codec::decode_blocks(blocks_view, packed_view, postings_count, b, 1,
@@ -636,60 +630,11 @@ SlmIndex SlmIndex::parse_arrays_payload(
 
   SlmIndex index(store, mods, params, nullptr);
   index.posting_count_ = postings_count;
-  if (keepalive != nullptr) {
-    index.bin_offsets_ = offsets_view;
-    index.blocks_ = blocks_view;
-    index.packed_ = packed_view;
-    index.bounds_ = bounds_view;
-    index.keepalive_ = std::move(keepalive);
-  } else {
-    // Eager load: the same packed arrays, copied out of the stream buffer.
-    index.bin_offsets_storage_.assign(offsets_view.begin(),
-                                      offsets_view.end());
-    index.blocks_storage_.assign(blocks_view.begin(), blocks_view.end());
-    index.packed_storage_.assign(packed_view.begin(), packed_view.end());
-    index.bounds_storage_.assign(bounds_view.begin(), bounds_view.end());
-    index.bind_owned();
-  }
-  return index;
-}
-
-void SlmIndex::save(std::ostream& out) const {
-  namespace sz = serialize;
-  std::uint64_t cursor = 0;
-  sz::write_header(out, sz::Kind::kSlmIndex);
-  cursor += sz::kHeaderBytes;
-  {
-    std::ostringstream payload;
-    sz::write_index_params(payload, params_);
-    bin::write_raw_section(out, cursor, sz::kSecParams, payload.str());
-  }
-  bin::write_raw_section_frame(out, cursor, sz::kSecArrays,
-                               arrays_payload_size(), arrays_payload_crc());
-  write_arrays_payload(out);
-}
-
-SlmIndex SlmIndex::load(std::istream& in, const PeptideStore& store,
-                        const chem::ModificationSet& mods,
-                        const IndexParams& params) {
-  namespace sz = serialize;
-  std::uint64_t cursor = 0;
-  sz::read_header(in, sz::Kind::kSlmIndex);
-  cursor += sz::kHeaderBytes;
-  {
-    std::istringstream payload(
-        bin::read_raw_section(in, cursor, sz::kSecParams));
-    const IndexParams stored = sz::read_index_params(payload);
-    if (!sz::same_index_params(stored, params)) {
-      throw IoError("index file was built with different IndexParams");
-    }
-  }
-  const std::string payload =
-      bin::read_raw_section(in, cursor, sz::kSecArrays);
-  bin::ByteReader reader(std::as_bytes(std::span(payload)));
-  SlmIndex index =
-      parse_arrays_payload(reader, store, mods, params, nullptr);
-  sz::require(reader.remaining() == 0, "index arrays trailing bytes");
+  index.bin_offsets_ = offsets_view;
+  index.blocks_ = blocks_view;
+  index.packed_ = packed_view;
+  index.bounds_ = bounds_view;
+  index.keepalive_ = std::move(keepalive);
   return index;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "chem/spectrum.hpp"
+#include "common/stats.hpp"
 #include "index/binning.hpp"
 #include "index/peptide_store.hpp"
 #include "index/posting_codec.hpp"
@@ -94,7 +95,7 @@ static_assert(sizeof(BlockBound) == 16, "BlockBound is an on-disk format");
 /// search::filter_score delegates to this.
 inline double candidate_filter_score(std::uint32_t shared_peaks,
                                      double matched_intensity) {
-  return std::lgamma(static_cast<double>(shared_peaks) + 1.0) +
+  return log_factorial(static_cast<double>(shared_peaks)) +
          std::log1p(matched_intensity);
 }
 
@@ -120,11 +121,11 @@ class SlmIndex {
            const IndexParams& params,
            std::span<const LocalPeptideId> subset);
 
-  // The hot arrays are spans that bind either to the owned vectors (built
-  // or stream-loaded) or to a mapped index file. Moves are safe — a moved
-  // std::vector keeps its heap buffer, so the spans stay valid — but a
-  // copy would leave the new spans pointing into the source, so copying is
-  // disallowed (the index is shared by reference everywhere it matters).
+  // The hot arrays are spans that bind either to the owned vectors (built)
+  // or to a mapped index file. Moves are safe — a moved std::vector keeps
+  // its heap buffer, so the spans stay valid — but a copy would leave the
+  // new spans pointing into the source, so copying is disallowed (the
+  // index is shared by reference everywhere it matters).
   SlmIndex(const SlmIndex&) = delete;
   SlmIndex& operator=(const SlmIndex&) = delete;
   SlmIndex(SlmIndex&&) noexcept = default;
@@ -185,20 +186,10 @@ class SlmIndex {
   std::vector<std::uint32_t> bin_occupancy() const;
 
   /// Per-block bound metadata (one record per 128-posting block, v5).
-  /// Non-empty for built indexes and v5 loads alike.
+  /// Non-empty for built and mapped indexes alike.
   std::span<const BlockBound> block_bounds() const noexcept {
     return bounds_;
   }
-
-  /// Dumps the transformed arrays (bin offsets + postings) in the
-  /// versioned, checksummed container of index/serialize.hpp; reload with
-  /// `load` against the SAME store contents to skip re-fragmentation —
-  /// this is what makes the paper's disk-resident chunks cheap to swap in.
-  /// `load` throws IoError on corrupt input or mismatched IndexParams.
-  void save(std::ostream& out) const;
-  static SlmIndex load(std::istream& in, const PeptideStore& store,
-                       const chem::ModificationSet& mods,
-                       const IndexParams& params);
 
  private:
   // ChunkedIndex drives query_impl directly so one span build serves every
@@ -209,12 +200,10 @@ class SlmIndex {
   SlmIndex(const PeptideStore& store, const chem::ModificationSet& mods,
            const IndexParams& params, std::nullptr_t /*load tag*/);
 
-  /// Points the spans at the owned storage vectors.
-  void bind_owned() noexcept;
-
-  // Raw transformed-array payload (format v5, no framing): what `save`
-  // wraps in a checksummed raw section and ChunkedIndex records per chunk
-  // in its directory. Layout, starting 8-aligned:
+  // Raw transformed-array payload (format v5, no framing): one per chunk
+  // of a ChunkedIndex file, whose directory records its extent and CRC —
+  // how the paper's disk-resident chunks swap in without re-fragmenting.
+  // Layout, starting 8-aligned:
   //   [bin_offset_count u64][posting_count u64]
   //   [block_count u64][packed_byte_count u64]
   //   bin_offsets u32[],             zero-padded to 8
@@ -235,11 +224,10 @@ class SlmIndex {
                                      QueryArena& arena) const;
 
   /// Parses one arrays payload from `payload` (positioned at its start,
-  /// 8-aligned phase) and validates structure. With a `keepalive` mapping
-  /// the spans bind in place (zero copy); without one the packed arrays
-  /// are copied into owned storage as they are. Either way every posting
-  /// is decoded once, block by block, to range-check it. Throws IoError
-  /// on corrupt input.
+  /// 8-aligned phase), validates structure and binds the spans in place
+  /// (zero copy); `keepalive` must own the bytes behind `payload`. Every
+  /// posting is decoded once, block by block, to range-check it. Throws
+  /// IoError on corrupt input.
   static SlmIndex parse_arrays_payload(
       bin::ByteReader& payload, const PeptideStore& store,
       const chem::ModificationSet& mods, const IndexParams& params,
@@ -280,9 +268,9 @@ class SlmIndex {
   //
   // The postings exist in one form only: bit-packed 128-posting blocks
   // (format v4, index/posting_codec.hpp) plus their v5 bounds. A build
-  // encodes them once and drops the u32 array it sorted; an eager load
-  // copies the packed bytes; a mapped load binds these spans straight into
-  // the rank file. The span walk decodes through posting_slice.
+  // encodes them once and drops the u32 array it sorted; a mapped load
+  // binds these spans straight into the rank file. The span walk decodes
+  // through posting_slice.
   std::span<const std::uint32_t> bin_offsets_;  ///< size num_bins+1
   std::span<const codec::BlockMeta> blocks_;
   std::span<const std::byte> packed_;

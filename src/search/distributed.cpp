@@ -12,12 +12,6 @@
 
 namespace lbe::search {
 
-bool global_psm_better(const GlobalPsm& a, const GlobalPsm& b) {
-  if (a.score != b.score) return a.score > b.score;
-  if (a.shared_peaks != b.shared_peaks) return a.shared_peaks > b.shared_peaks;
-  return a.peptide < b.peptide;
-}
-
 bool steal_protocol_active(const core::ScheduleParams& schedule, int ranks,
                            std::size_t num_queries) {
   // Pure function of data both sides of a process boundary share (the
@@ -26,6 +20,38 @@ bool steal_protocol_active(const core::ScheduleParams& schedule, int ranks,
   // messages flow.
   return schedule.schedule == core::Schedule::kStealing && ranks > 1 &&
          num_queries > 0;
+}
+
+namespace {
+
+bool global_psm_better(const GlobalPsm& a, const GlobalPsm& b) {
+  if (a.score != b.score) return a.score > b.score;
+  if (a.shared_peaks != b.shared_peaks) return a.shared_peaks > b.shared_peaks;
+  return a.peptide < b.peptide;
+}
+
+}  // namespace
+
+void merge_rank_results(const index::MappingTable& mapping, RankId index_rank,
+                        std::span<const QueryResult> results,
+                        std::vector<GlobalQueryResult>& merged) {
+  for (const QueryResult& result : results) {
+    auto& slot = merged[result.query_id];
+    for (const Psm& psm : result.top) {
+      slot.top.push_back(GlobalPsm{mapping.to_global(index_rank, psm.peptide),
+                                   psm.shared_peaks, psm.score, index_rank});
+    }
+  }
+}
+
+void finish_merge(std::vector<GlobalQueryResult>& merged, std::size_t top_k,
+                  std::uint32_t first_query_id) {
+  for (std::size_t q = 0; q < merged.size(); ++q) {
+    auto& slot = merged[q];
+    slot.query_id = first_query_id + static_cast<std::uint32_t>(q);
+    std::sort(slot.top.begin(), slot.top.end(), global_psm_better);
+    if (slot.top.size() > top_k) slot.top.resize(top_k);
+  }
 }
 
 namespace {
@@ -195,7 +221,6 @@ void decode_task_batch_into(const mpi::Bytes& bytes, RankId executed_by,
           QueryCostRecord{query_id, index_rank, executed_by, predicted, work});
     }
     auto& slot = merged[query_id];
-    if (claimed) slot.query_id = query_id;
     for (std::uint32_t k = 0; k < psm_count; ++k) {
       const auto local = reader.pod<LocalPeptideId>();
       const auto shared = reader.pod<std::uint32_t>();
@@ -439,21 +464,18 @@ DistributedReport run_distributed_search(
     // wire (same mapping, same record shape as decode_task_batch_into).
     auto merge_own_rows = [&](int index_rank, std::size_t lo,
                               std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const QueryResult& result = runner.results()[i];
-        if (costs != nullptr) {
-          costs->push_back(QueryCostRecord{result.query_id, index_rank, 0,
+      if (costs != nullptr) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          costs->push_back(QueryCostRecord{runner.results()[i].query_id,
+                                           index_rank, 0,
                                            runner.predicted(index_rank, i),
                                            runner.per_query()[i]});
         }
-        auto& slot = merged[result.query_id];
-        slot.query_id = result.query_id;
-        for (const Psm& psm : result.top) {
-          slot.top.push_back(
-              GlobalPsm{plan.mapping().to_global(index_rank, psm.peptide),
-                        psm.shared_peaks, psm.score, index_rank});
-        }
       }
+      merge_rank_results(
+          plan.mapping(), index_rank,
+          std::span<const QueryResult>(runner.results()).subspan(lo, hi - lo),
+          merged);
     };
 
     std::vector<std::optional<wire::RankStats>> stashed_stats(
@@ -725,14 +747,10 @@ DistributedReport run_distributed_search(
       }
     }
 
-    // Deterministic merge: global_psm_better is a strict total order over
-    // unique global ids, so the sorted/truncated lists are independent of
-    // which rank executed which batch and of arrival order.
-    const std::size_t top_k = params.search.top_k;
-    for (auto& result : merged) {
-      std::sort(result.top.begin(), result.top.end(), global_psm_better);
-      if (result.top.size() > top_k) result.top.resize(top_k);
-    }
+    // Deterministic merge: the lists sort under a strict total order over
+    // unique global ids, so they are independent of which rank executed
+    // which batch and of arrival order.
+    finish_merge(merged, params.search.top_k);
     report.results = std::move(merged);
     times.finish = comm.vclock();
 

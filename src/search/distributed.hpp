@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/lbe_layer.hpp"
@@ -79,11 +80,20 @@ struct GlobalQueryResult {
   std::vector<GlobalPsm> top;  ///< merged across ranks, best-first
 };
 
-/// The master's merge order: score desc, shared desc, global id asc. Global
-/// variant ids are unique across ranks, so this is a strict total order and
-/// any merge that sorts with it is deterministic. Exposed so the serving
-/// daemon reproduces the one-shot merge bit for bit.
-bool global_psm_better(const GlobalPsm& a, const GlobalPsm& b);
+/// The master-side merge, shared by one-shot search and the serving daemon
+/// so their rows agree bit for bit. merge_rank_results folds one index
+/// rank's local top lists into `merged[result.query_id]`, mapping local ids
+/// to global through `mapping` (the paper's O(1) lookup); source_rank is
+/// the *index* rank, placement not executor. finish_merge then sorts each
+/// list by score desc, shared desc, global id asc — a strict total order,
+/// global ids being unique across ranks, so the outcome is independent of
+/// fold and arrival order — truncates it to `top_k` and stamps query ids
+/// `first_query_id + q`.
+void merge_rank_results(const index::MappingTable& mapping, RankId index_rank,
+                        std::span<const QueryResult> results,
+                        std::vector<GlobalQueryResult>& merged);
+void finish_merge(std::vector<GlobalQueryResult>& merged, std::size_t top_k,
+                  std::uint32_t first_query_id = 0);
 
 /// Per-rank virtual-time phase boundaries (seconds on that rank's clock).
 struct PhaseTimes {

@@ -13,7 +13,7 @@ QueryCostModel::QueryCostModel(const index::ChunkedIndex& index,
     : binning_(index.index_params().binning()),
       // Prefix sums let each coalesced bin span be summed in O(1); the
       // index caches them so construction is O(1) after the first model.
-      prefix_(&index.occupancy_prefix()),
+      prefix_(index.occupancy_prefix()),
       preprocess_(preprocess) {
   tol_bins_ = binning_.tolerance_bins(filter.fragment_tolerance);
 }

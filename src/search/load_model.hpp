@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "chem/spectrum.hpp"
@@ -34,9 +35,9 @@ namespace lbe::search {
 
 class QueryCostModel {
  public:
-  /// Borrows `index`'s cached occupancy prefix (ChunkedIndex computes it
-  /// once, typically during the build phase); the index must outlive the
-  /// model. Borrowing instead of snapshotting is what makes a thief's
+  /// Shares `index`'s cached occupancy prefix (ChunkedIndex computes it
+  /// once, typically during the build phase), so the model may outlive the
+  /// index. Sharing instead of snapshotting is what makes a thief's
   /// foreign-index cost model O(1) to construct mid-query-phase.
   QueryCostModel(const index::ChunkedIndex& index,
                  const index::QueryParams& filter,
@@ -48,8 +49,8 @@ class QueryCostModel {
 
  private:
   index::Binning binning_;
-  /// The index's occupancy prefix sums, size bins+1 (not owned).
-  const std::vector<std::uint64_t>* prefix_ = nullptr;
+  /// The index's occupancy prefix sums, size bins+1 (shared with it).
+  std::shared_ptr<const std::vector<std::uint64_t>> prefix_;
   index::MzBin tol_bins_ = 0;
   PreprocessParams preprocess_;
 };

@@ -4,10 +4,6 @@
 
 namespace lbe::search {
 
-double log_factorial(std::uint32_t n) {
-  return std::lgamma(static_cast<double>(n) + 1.0);
-}
-
 ScoreBreakdown score_candidate(const chem::Spectrum& query,
                                const chem::Peptide& peptide,
                                const chem::ModificationSet& mods,

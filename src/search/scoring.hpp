@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "chem/modification.hpp"
+#include "common/stats.hpp"  // log_factorial: the ln(N!) terms
 #include "chem/spectrum.hpp"
 #include "index/peptide_store.hpp"
 #include "theospec/fragmenter.hpp"
@@ -40,8 +41,5 @@ ScoreBreakdown score_candidate(const chem::Spectrum& query,
                                const chem::Peptide& peptide,
                                const chem::ModificationSet& mods,
                                const ScoreParams& params);
-
-/// ln(n!) via lgamma; exposed for tests.
-double log_factorial(std::uint32_t n);
 
 }  // namespace lbe::search

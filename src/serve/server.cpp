@@ -36,10 +36,12 @@ void Server::stop() {
   if (!running_.exchange(false)) return;
   paused_.store(false);
   queue_cv_.notify_all();
-  // Closing the listener makes the accept thread's poll() see POLLNVAL and
-  // exit; closing connection fds unblocks handler threads stuck in read().
-  listener_.reset();
+  // The accept thread re-checks running_ at least every poll() timeout
+  // (100 ms), so join it before closing the listener it polls — closing
+  // first would race its read of listener_. Shutting connection fds down
+  // below unblocks handler threads stuck in read().
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.reset();
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     for (auto& conn : connections_) {

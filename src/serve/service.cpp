@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "search/distributed.hpp"
 #include "search/report.hpp"
 
 namespace lbe::serve {
@@ -80,9 +81,8 @@ SearchResponse SearchService::search_batch(
   response.start_id = start_id;
   response.queries = num_queries;
 
-  // Same merge as the distributed master: every rank searches the whole
-  // batch, local ids travel through the mapping table, and the per-query
-  // lists sort under the strict total order global_psm_better.
+  // The distributed master's merge: every rank searches the whole batch
+  // and folds its local top lists in through the mapping table.
   std::vector<search::GlobalQueryResult> merged(num_queries);
   arenas.resize(std::max<std::size_t>(arenas.size(),
                                       pool == nullptr ? 1 : pool->size()));
@@ -94,23 +94,12 @@ SearchResponse SearchService::search_batch(
     index::QueryWork work;
     const std::vector<search::QueryResult> local =
         engine.search_all(spectra, work, arenas, pool);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      response.candidates += local[q].candidates;
-      auto& slot = merged[q];
-      for (const search::Psm& psm : local[q].top) {
-        slot.top.push_back(search::GlobalPsm{
-            plan.mapping().to_global(rank, psm.peptide), psm.shared_peaks,
-            psm.score, rank});
-      }
+    for (const search::QueryResult& result : local) {
+      response.candidates += result.candidates;
     }
+    search::merge_rank_results(plan.mapping(), rank, local, merged);
   }
-  const std::size_t top_k = params.top_k;
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    auto& slot = merged[q];
-    slot.query_id = start_id + static_cast<std::uint32_t>(q);
-    std::sort(slot.top.begin(), slot.top.end(), search::global_psm_better);
-    if (slot.top.size() > top_k) slot.top.resize(top_k);
-  }
+  search::finish_merge(merged, params.top_k, start_id);
 
   response.rows =
       search::resolve_psms(plan, merged, context->plan.decoy_bases);

@@ -3,7 +3,7 @@
 //
 // A `ServingContext` pins one generation of everything a search needs —
 // options, database, plan, and the per-rank warm indexes (mmapped from a
-// v3 bundle, or built in memory for tests/benches). `SearchService` holds
+// prepared bundle, or built in memory for tests/benches). `SearchService` holds
 // the current generation behind a shared_ptr: workers snapshot it per
 // batch, and a SIGHUP hot swap just replaces the pointer — in-flight
 // batches finish on the old mapping, which is torn down when the last
@@ -17,11 +17,11 @@
 // arena serves any generation (its scorecard only grows and is stamped
 // per query), so a hot swap just drops the idle list to free memory.
 //
-// `search_batch` reproduces the one-shot distributed merge bit for bit:
-// every rank's engine searches the whole batch against its partial index,
-// local ids map to global through the plan's mapping table, and the merged
-// list per query is sorted with the master's `global_psm_better` total
-// order and truncated to top_k, then resolved into report rows.
+// `search_batch` reproduces the one-shot distributed merge bit for bit by
+// calling it: every rank's engine searches the whole batch against its
+// partial index, search::merge_rank_results maps local ids to global
+// through the plan's mapping table, and search::finish_merge sorts,
+// truncates to top_k and stamps query ids before the rows are resolved.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +55,8 @@ struct ServingContext {
 };
 
 /// Builds the context the daemon serves: database (plan file > FASTA >
-/// synthetic), LBE plan, and the warm bundle from `opts.index_dir`
-/// (mmapped when `opts.index_mmap`). Unlike one-shot search, a bundle
+/// synthetic), LBE plan, and the warm bundle mmapped from
+/// `opts.index_dir`. Unlike one-shot search, a bundle
 /// mismatch is fatal here — a daemon must never silently fall back to a
 /// cold rebuild of something else than what the operator pointed it at.
 std::shared_ptr<ServingContext> load_serving_context(

@@ -119,9 +119,8 @@ std::string slurp(const std::string& path) {
 }
 
 // The acceptance path for `search --index`: a warm start over the saved
-// bundle — through BOTH load paths, eager (--mmap off) and mapped lazy
-// (--mmap on, the default) — must produce a byte-identical psms.tsv to
-// the cold rebuild.
+// bundle — mapped, chunks materialized lazily on first touch — must
+// produce a byte-identical psms.tsv to the cold rebuild.
 TEST(LbectlPipeline, WarmStartSearchIsByteIdenticalToColdRebuild) {
   const AppOptions opts = small_options();
   const PipelineInputs inputs = prepare_inputs(opts);
@@ -137,23 +136,15 @@ TEST(LbectlPipeline, WarmStartSearchIsByteIdenticalToColdRebuild) {
   const std::string cold_psms = slurp(cold_dir + "/psms.tsv");
   EXPECT_FALSE(cold_psms.empty());
 
-  for (const bool mmap_mode : {true, false}) {
-    AppOptions warm_opts = opts;
-    warm_opts.index_mmap = mmap_mode;
-    const auto warm =
-        try_load_warm_indexes(dir, plan, inputs.database, warm_opts);
-    ASSERT_NE(warm, nullptr);
-    for (const auto& rank : warm->per_rank) {
-      EXPECT_EQ(rank->mapped(), mmap_mode);
-    }
-    const SearchOutcome warmed =
-        run_search_pipeline(plan, inputs.queries, warm_opts, warm.get());
-    const std::string warm_dir =
-        dir + (mmap_mode ? "/warm_mmap" : "/warm_eager");
-    write_reports(warm_dir, plan, warmed);
-    EXPECT_EQ(cold_psms, slurp(warm_dir + "/psms.tsv"))
-        << (mmap_mode ? "mmap" : "eager") << " warm start diverged";
-  }
+  const auto warm = try_load_warm_indexes(dir, plan, inputs.database, opts);
+  ASSERT_NE(warm, nullptr);
+  for (const auto& rank : warm->per_rank) EXPECT_TRUE(rank->mapped());
+  const SearchOutcome warmed =
+      run_search_pipeline(plan, inputs.queries, opts, warm.get());
+  const std::string warm_dir = dir + "/warm";
+  write_reports(warm_dir, plan, warmed);
+  EXPECT_EQ(cold_psms, slurp(warm_dir + "/psms.tsv"))
+      << "mapped warm start diverged";
   fs::remove_all(dir);
 }
 
@@ -294,6 +285,9 @@ TEST(LbectlCli, ParsesOverridesAndFlags) {
 TEST(LbectlCli, RejectsUnknownKeys) {
   const char* argv[] = {"lbectl", "search", "--rankz", "8"};
   EXPECT_THROW(parse_cli(4, argv), ConfigError);
+  // Mapping is the only warm-start path; the old eager-load switch is gone.
+  const char* mmap_argv[] = {"lbectl", "search", "--mmap", "off"};
+  EXPECT_THROW(parse_cli(4, mmap_argv), ConfigError);
   EXPECT_THROW(options_from_config(
                    Config::from_string("definitely_unknown = 1\n")),
                ConfigError);

@@ -1,11 +1,13 @@
 // Block-max pruning (format v5 bound metadata): bound construction,
-// serialization round trips, corruption handling, and — the property the
+// save-and-map round trips, corruption handling, and — the property the
 // whole feature rests on — exact candidate equivalence between the pruned
 // and unpruned walks, raw and packed, flat and chunked.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -272,55 +274,68 @@ TEST_F(BlockPruningTest, ScoreFloorPrunesLaterChunks) {
   EXPECT_LT(work_pruned.postings_touched, work_plain.postings_touched);
 }
 
-TEST_F(BlockPruningTest, SaveLoadRoundTripPreservesBounds) {
-  const auto store = workload_store();
-  const SlmIndex built(store, mods_, params_);
-  std::stringstream stream;
-  built.save(stream);
-  const SlmIndex loaded = SlmIndex::load(stream, store, mods_, params_);
+TEST_F(BlockPruningTest, MappedIndexPrunesLikeBuilt) {
+  // Bounds are written per chunk and bound in place on first touch: a
+  // mapped index must prune exactly the blocks the built one prunes, with
+  // the mass window and the score floor (raised at chunk boundaries, hence
+  // several chunks) both enabled.
+  PeptideStore store = workload_store();
+  ChunkingParams chunking;
+  chunking.max_chunk_entries = store.size() / 4 + 1;
+  const ChunkedIndex built(std::move(store), mods_, params_, chunking);
+  ASSERT_EQ(built.num_chunks(), 4u);
+  const std::string path = ::testing::TempDir() + "/lbe_prune_rt.idx";
+  built.save_file(path);
+  const auto mapped = ChunkedIndex::map_file(path, mods_, params_);
 
-  const auto a = built.block_bounds();
-  const auto b = loaded.block_bounds();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].mass_lo, b[i].mass_lo);
-    EXPECT_EQ(a[i].mass_hi, b[i].mass_hi);
-    EXPECT_EQ(a[i].max_frags, b[i].max_frags);
-  }
-
-  // And the loaded index prunes exactly like the built one.
   QueryParams pruned = query_;
   pruned.precursor_tolerance = 50.0;
+  pruned.prune_top_k = 5;
+  std::uint64_t blocks_pruned = 0;
   for (const auto& spectrum : workload().queries) {
     std::vector<Candidate> out_built;
-    std::vector<Candidate> out_loaded;
+    std::vector<Candidate> out_mapped;
     QueryWork wb;
-    QueryWork wl;
+    QueryWork wm;
     built.query(spectrum, pruned, out_built, wb);
-    loaded.query(spectrum, pruned, out_loaded, wl);
-    EXPECT_TRUE(same_candidates(out_built, out_loaded));
-    EXPECT_EQ(wb.blocks_pruned, wl.blocks_pruned);
+    mapped->query(spectrum, pruned, out_mapped, wm);
+    EXPECT_TRUE(same_candidates(out_built, out_mapped));
+    EXPECT_EQ(wb.blocks_pruned, wm.blocks_pruned);
+    EXPECT_EQ(wb.postings_touched, wm.postings_touched);
+    blocks_pruned += wm.blocks_pruned;
   }
+  EXPECT_GT(blocks_pruned, 0u) << "no block pruned (vacuous)";
+  std::filesystem::remove(path);
 }
 
 TEST_F(BlockPruningTest, CorruptedBoundBytesAreIoError) {
-  const auto store = make_store({"PEPTIDEK", "MKWVTFISLLK", "GGGGGGK"});
-  const SlmIndex index(store, mods_, params_);
+  const ChunkedIndex index(make_store({"PEPTIDEK", "MKWVTFISLLK", "GGGGGGK"}),
+                           mods_, params_, ChunkingParams{});
   std::stringstream stream;
   index.save(stream);
-  std::string bytes = stream.str();
+  const std::string bytes = stream.str();
+  const std::string path = ::testing::TempDir() + "/lbe_prune_bad.idx";
+  const auto map_all = [&](const std::string& contents) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(contents.data(),
+                static_cast<std::streamsize>(contents.size()));
+    }
+    (void)ChunkedIndex::map_file(path, mods_, params_)->num_postings();
+  };
 
-  // The BlockBound records sit at the tail of the arrays payload; flip one
-  // byte there. Whether the container CRC or the bound validation catches
-  // it, the contract is the same: IoError, never a silently wrong bound.
+  // The BlockBound records sit at the tail of the (last) chunk's arrays
+  // payload, which ends the file; flip one byte there. Whether the chunk
+  // CRC or the bound validation catches it at first touch, the contract
+  // is the same: IoError, never a silently wrong bound.
   ASSERT_GT(bytes.size(), 64u);
-  bytes[bytes.size() - 48] ^= 0x40;
-  std::istringstream corrupted(bytes);
-  EXPECT_THROW(SlmIndex::load(corrupted, store, mods_, params_), IoError);
+  std::string corrupted = bytes;
+  corrupted[bytes.size() - 12] ^= 0x40;
+  EXPECT_THROW(map_all(corrupted), IoError);
 
   // Truncation inside the bounds region is IoError too.
-  std::istringstream truncated(stream.str().substr(0, bytes.size() - 24));
-  EXPECT_THROW(SlmIndex::load(truncated, store, mods_, params_), IoError);
+  EXPECT_THROW(map_all(bytes.substr(0, bytes.size() - 24)), IoError);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

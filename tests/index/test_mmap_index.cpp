@@ -1,6 +1,7 @@
-// The mmap warm-start path (format v4): mapped indexes must answer queries
-// identically to eagerly loaded ones — decoding bit-packed posting spans
-// per query — materialize only the chunks a precursor window touches, and
+// The mmap warm-start path (format v4), the one way a rank file is read
+// back: mapped indexes must answer queries identically to the built index
+// they were saved from — decoding bit-packed posting spans per query —
+// materialize only the chunks a precursor window touches, and
 // turn EVERY corruption — flipped bit (including inside a packed posting
 // extent), truncation, wrong version — into IoError at map time or first
 // touch, never a silently different result.
@@ -41,13 +42,19 @@ class MmapIndexTest : public ::testing::Test {
     return store;
   }
 
-  /// Saves a chunked index (2 entries per chunk => 3 chunks) to a file.
-  std::string save_chunked(const std::string& name) {
+  /// The built index every test maps back (2 entries per chunk => 3
+  /// chunks); building is deterministic, so a second build is the oracle.
+  std::unique_ptr<ChunkedIndex> build_chunked() {
     ChunkingParams chunking;
     chunking.max_chunk_entries = 2;
-    const ChunkedIndex original(make_store(), mods_, params_, chunking);
+    return std::make_unique<ChunkedIndex>(make_store(), mods_, params_,
+                                          chunking);
+  }
+
+  /// Saves build_chunked() to a file.
+  std::string save_chunked(const std::string& name) {
     const std::string path = ::testing::TempDir() + "/" + name;
-    original.save_file(path);
+    build_chunked()->save_file(path);
     return path;
   }
 
@@ -60,15 +67,16 @@ class MmapIndexTest : public ::testing::Test {
   IndexParams params_;
 };
 
-TEST_F(MmapIndexTest, MappedQueriesAgreeWithEagerLoad) {
+TEST_F(MmapIndexTest, MappedQueriesAgreeWithBuiltIndex) {
   const std::string path = save_chunked("mmap_roundtrip.idx");
-  const auto eager = ChunkedIndex::load_file(path, mods_, params_);
+  const auto built = build_chunked();
   const auto mapped = ChunkedIndex::map_file(path, mods_, params_);
 
   EXPECT_TRUE(mapped->mapped());
   EXPECT_TRUE(mapped->store().mapped());
-  EXPECT_EQ(mapped->num_chunks(), eager->num_chunks());
-  EXPECT_EQ(mapped->num_peptides(), eager->num_peptides());
+  EXPECT_FALSE(built->mapped());
+  EXPECT_EQ(mapped->num_chunks(), built->num_chunks());
+  EXPECT_EQ(mapped->num_peptides(), built->num_peptides());
 
   QueryParams filter;
   filter.shared_peak_min = 1;
@@ -78,7 +86,7 @@ TEST_F(MmapIndexTest, MappedQueriesAgreeWithEagerLoad) {
     std::vector<Candidate> b;
     QueryWork wa;
     QueryWork wb;
-    eager->query(spectrum, filter, a, wa);
+    built->query(spectrum, filter, a, wa);
     mapped->query(spectrum, filter, b, wb);
     ASSERT_EQ(a.size(), b.size()) << seq;
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -89,7 +97,8 @@ TEST_F(MmapIndexTest, MappedQueriesAgreeWithEagerLoad) {
     EXPECT_EQ(wa.postings_touched, wb.postings_touched);
   }
   // num_postings forces full materialization; totals must agree.
-  EXPECT_EQ(mapped->num_postings(), eager->num_postings());
+  EXPECT_EQ(mapped->num_postings(), built->num_postings());
+  EXPECT_EQ(mapped->packed_posting_bytes(), built->packed_posting_bytes());
   EXPECT_EQ(mapped->num_chunks_loaded(), mapped->num_chunks());
 }
 
@@ -111,11 +120,10 @@ TEST_F(MmapIndexTest, NarrowWindowMaterializesOnlyIntersectingChunks) {
   EXPECT_GE(mapped->num_chunks_loaded(), 1u);
   EXPECT_LT(mapped->num_chunks_loaded(), mapped->num_chunks());
 
-  // The eager oracle agrees on the same narrow window.
-  const auto eager = ChunkedIndex::load_file(path, mods_, params_);
+  // The built oracle agrees on the same narrow window.
   std::vector<Candidate> oracle;
   QueryWork oracle_work;
-  eager->query(spectrum, narrow, oracle, oracle_work);
+  build_chunked()->query(spectrum, narrow, oracle, oracle_work);
   ASSERT_EQ(candidates.size(), oracle.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(candidates[i].peptide, oracle[i].peptide);
@@ -132,9 +140,8 @@ TEST_F(MmapIndexTest, ConcurrentFirstTouchIsSafe) {
 
   std::vector<Candidate> expected;
   {
-    const auto eager = ChunkedIndex::load_file(path, mods_, params_);
     QueryWork work;
-    eager->query(spectrum, filter, expected, work);
+    build_chunked()->query(spectrum, filter, expected, work);
   }
 
   // Many threads race the open-search first touch of every chunk.
@@ -307,15 +314,17 @@ TEST_F(MmapIndexTest, SavingAMappedIndexRoundTrips) {
   const std::string path = save_chunked("mmap_resave.idx");
   const auto mapped = ChunkedIndex::map_file(path, mods_, params_);
   // Saving materializes (and re-validates) every chunk.
-  std::stringstream buffer;
-  mapped->save(buffer);
-  const auto reloaded = ChunkedIndex::load(buffer, mods_, params_);
+  const std::string resaved = ::testing::TempDir() + "/mmap_resave_2.idx";
+  mapped->save_file(resaved);
+  EXPECT_EQ(mapped->num_chunks_loaded(), mapped->num_chunks());
+  const auto reloaded = ChunkedIndex::map_file(resaved, mods_, params_);
   EXPECT_EQ(reloaded->num_postings(), mapped->num_postings());
   EXPECT_EQ(reloaded->num_chunks(), mapped->num_chunks());
+  fs::remove(resaved);
 }
 
-TEST_F(MmapIndexTest, MappedBundleLoadMatchesEager) {
-  // Two hand-carved ranks, loaded via both bundle modes.
+TEST_F(MmapIndexTest, MappedBundleLoadMatchesBuilt) {
+  // Two hand-carved ranks, saved and mapped back.
   IndexBundle bundle;
   bundle.lbe.partition.ranks = 2;
   bundle.index_params = params_;
@@ -332,18 +341,16 @@ TEST_F(MmapIndexTest, MappedBundleLoadMatchesEager) {
   const std::string dir = ::testing::TempDir() + "/lbe_bundle_mmap";
   save_index_bundle(dir, bundle);
 
-  const IndexBundle eager =
-      load_index_bundle(dir, mods_, BundleLoadMode::kEager);
-  const IndexBundle mapped =
-      load_index_bundle(dir, mods_, BundleLoadMode::kMapped);
-  ASSERT_EQ(mapped.ranks(), eager.ranks());
-  EXPECT_TRUE(mapped.mapping == eager.mapping);
+  const IndexBundle mapped = load_index_bundle(dir, mods_);
+  ASSERT_EQ(mapped.ranks(), bundle.ranks());
+  EXPECT_TRUE(mapped.mapping == bundle.mapping);
   for (int rank = 0; rank < mapped.ranks(); ++rank) {
     const auto& m = *mapped.per_rank[static_cast<std::size_t>(rank)];
-    const auto& e = *eager.per_rank[static_cast<std::size_t>(rank)];
+    const auto& b = *bundle.per_rank[static_cast<std::size_t>(rank)];
     EXPECT_TRUE(m.mapped());
-    EXPECT_EQ(m.num_peptides(), e.num_peptides());
-    EXPECT_EQ(m.num_postings(), e.num_postings());
+    EXPECT_EQ(m.num_chunks_loaded(), 0u);  // metadata only until touched
+    EXPECT_EQ(m.num_peptides(), b.num_peptides());
+    EXPECT_EQ(m.num_postings(), b.num_postings());
   }
   fs::remove_all(dir);
 }

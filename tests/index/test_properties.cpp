@@ -2,8 +2,9 @@
 // of the index and filtration results that must hold for any input.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
-#include <sstream>
+#include <string>
 
 #include "index/chunked_index.hpp"
 #include "synth/workload.hpp"
@@ -124,9 +125,10 @@ TEST_P(IndexProperties, SerializationPreservesEverything) {
   PeptideStore store = build_store();
   const ChunkedIndex original(std::move(store), workload_.mods, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  const auto loaded = ChunkedIndex::load(buffer, workload_.mods, params_);
+  const std::string path = ::testing::TempDir() + "/lbe_properties_" +
+                           std::to_string(GetParam()) + ".idx";
+  original.save_file(path);
+  const auto loaded = ChunkedIndex::map_file(path, workload_.mods, params_);
   EXPECT_EQ(loaded->num_postings(), original.num_postings());
   QueryParams filter;
   filter.shared_peak_min = 4;
@@ -145,6 +147,7 @@ TEST_P(IndexProperties, SerializationPreservesEverything) {
       EXPECT_EQ(a[i].shared_peaks, b[i].shared_peaks);
     }
   }
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexProperties,

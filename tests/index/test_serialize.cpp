@@ -1,14 +1,18 @@
 // Round-trip tests for the on-disk index format (the paper's disk-resident
-// chunks): every component — store, SLM index, chunked index, mapping
-// table, full per-rank bundle — survives save/load bit-exactly, queries
-// agree, and corrupted/mismatched files (bad magic, wrong version,
-// truncation, flipped bits anywhere) are rejected with IoError.
+// chunks): every component — store, chunked index, mapping table, full
+// per-rank bundle — written to disk and mapped back (the one warm-start
+// path) matches the built original, queries agree, and corrupted or
+// mismatched files (bad magic, wrong kind or version, trailing bytes,
+// flipped bits) are rejected with IoError. The whole-file bit-flip and
+// truncation sweeps over mapped chunk files live in test_mmap_index.cpp.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "common/binary_io.hpp"
+#include "common/mmap_file.hpp"
 #include "index/serialize.hpp"
 #include "theospec/fragmenter.hpp"
 
@@ -32,6 +36,36 @@ class SerializeTest : public ::testing::Test {
     return store;
   }
 
+  static std::string bytes_of(const ChunkedIndex& index) {
+    std::stringstream buffer;
+    index.save(buffer);
+    return buffer.str();
+  }
+
+  /// Writes `bytes` to a scratch file and returns its path.
+  static std::string write_scratch(const std::string& bytes) {
+    const std::string path = ::testing::TempDir() + "/lbe_ser.idx";
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+  }
+
+  /// Maps a chunked-index file and materializes every chunk, so payload
+  /// corruption surfaces here as well as metadata corruption.
+  std::unique_ptr<ChunkedIndex> map_all(const std::string& path,
+                                        const IndexParams& params) {
+    auto index = ChunkedIndex::map_file(path, mods_, params);
+    (void)index->num_postings();
+    return index;
+  }
+
+  /// Maps a standalone peptide-store file (header at offset 0).
+  PeptideStore map_store(const std::string& path) {
+    const auto map = bin::MmapFile::open(path);
+    bin::ByteReader reader(map->bytes());
+    return PeptideStore::bind_mapped(reader, &mods_, map);
+  }
+
   chem::ModificationSet mods_ = chem::ModificationSet::paper_default();
   IndexParams params_;
 };
@@ -40,7 +74,8 @@ TEST_F(SerializeTest, StoreRoundTrip) {
   const PeptideStore original = make_store();
   std::stringstream buffer;
   original.save(buffer);
-  const PeptideStore loaded = PeptideStore::load(buffer, &mods_);
+  const PeptideStore loaded = map_store(write_scratch(buffer.str()));
+  EXPECT_TRUE(loaded.mapped());
   ASSERT_EQ(loaded.size(), original.size());
   for (LocalPeptideId id = 0; id < original.size(); ++id) {
     EXPECT_EQ(loaded.materialize(id), original.materialize(id));
@@ -52,30 +87,27 @@ TEST_F(SerializeTest, EmptyStoreRoundTrip) {
   const PeptideStore empty(&mods_);
   std::stringstream buffer;
   empty.save(buffer);
-  const PeptideStore loaded = PeptideStore::load(buffer, &mods_);
-  EXPECT_EQ(loaded.size(), 0u);
+  EXPECT_EQ(map_store(write_scratch(buffer.str())).size(), 0u);
 }
 
-TEST_F(SerializeTest, StoreLoadRejectsTruncation) {
+TEST_F(SerializeTest, StoreMapRejectsTruncation) {
   const PeptideStore original = make_store();
   std::stringstream buffer;
   original.save(buffer);
   std::string bytes = buffer.str();
   bytes.resize(bytes.size() / 2);
-  std::istringstream truncated(bytes);
-  EXPECT_THROW(PeptideStore::load(truncated, &mods_), IoError);
+  EXPECT_THROW(map_store(write_scratch(bytes)), IoError);
 }
 
 TEST_F(SerializeTest, ChunkedIndexRoundTripQueriesAgree) {
   ChunkingParams chunking;
   chunking.max_chunk_entries = 2;  // multiple chunks exercised
   const ChunkedIndex original(make_store(), mods_, params_, chunking);
-  std::stringstream buffer;
-  original.save(buffer);
-  const auto loaded = ChunkedIndex::load(buffer, mods_, params_);
+  const std::string path = ::testing::TempDir() + "/lbe_index.bin";
+  original.save_file(path);
+  const auto loaded = ChunkedIndex::map_file(path, mods_, params_);
 
   EXPECT_EQ(loaded->num_chunks(), original.num_chunks());
-  EXPECT_EQ(loaded->num_postings(), original.num_postings());
   EXPECT_EQ(loaded->num_peptides(), original.num_peptides());
 
   QueryParams filter;
@@ -97,83 +129,25 @@ TEST_F(SerializeTest, ChunkedIndexRoundTripQueriesAgree) {
     }
     EXPECT_EQ(wa.postings_touched, wb.postings_touched);
   }
-}
-
-TEST_F(SerializeTest, LoadRejectsBadMagic) {
-  std::stringstream buffer;
-  buffer << "definitely not an index";
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, params_), IoError);
-}
-
-TEST_F(SerializeTest, LoadRejectsDifferentParams) {
-  const ChunkedIndex original(make_store(), mods_, params_,
-                              ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  IndexParams other = params_;
-  other.resolution = 0.02;
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, other), IoError);
-}
-
-TEST_F(SerializeTest, FileRoundTripAndMissingFile) {
-  const ChunkedIndex original(make_store(), mods_, params_,
-                              ChunkingParams{});
-  const std::string path = ::testing::TempDir() + "/lbe_index.bin";
-  original.save_file(path);
-  const auto loaded = ChunkedIndex::load_file(path, mods_, params_);
   EXPECT_EQ(loaded->num_postings(), original.num_postings());
-  EXPECT_THROW(ChunkedIndex::load_file("/nonexistent/x.bin", mods_, params_),
+}
+
+TEST_F(SerializeTest, MapRejectsBadMagic) {
+  EXPECT_THROW(map_all(write_scratch("definitely not an index"), params_),
                IoError);
 }
 
-TEST_F(SerializeTest, LoadedIndexMemoryAccountingSane) {
+TEST_F(SerializeTest, MappedIndexMemoryAccountingSane) {
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  const auto loaded = ChunkedIndex::load(buffer, mods_, params_);
-  // An eager load holds the packed stream (block directory included) on
-  // the heap, as a build does; scorecards are lazily sized, so the rest
-  // of the accounting may differ.
+  const auto loaded = map_all(write_scratch(bytes_of(original)), params_);
+  // A mapped index views the same packed stream (block directory
+  // included) in the page cache, so it holds none of the built index's
+  // array or store heap.
   EXPECT_GT(loaded->packed_posting_bytes(), 0u);
   EXPECT_EQ(loaded->packed_posting_bytes(), original.packed_posting_bytes());
-  EXPECT_GE(loaded->memory_bytes(),
-            loaded->store().memory_bytes() + loaded->packed_posting_bytes());
-}
-
-TEST_F(SerializeTest, SlmIndexRoundTrip) {
-  const PeptideStore store = make_store();
-  const SlmIndex original(store, mods_, params_);
-  std::stringstream buffer;
-  original.save(buffer);
-  const SlmIndex loaded = SlmIndex::load(buffer, store, mods_, params_);
-  EXPECT_EQ(loaded.num_postings(), original.num_postings());
-
-  QueryParams filter;
-  filter.shared_peak_min = 1;
-  const auto spectrum = theospec::theoretical_spectrum(
-      chem::Peptide("PEPTIDEK"), mods_, params_.fragments);
-  std::vector<Candidate> a;
-  std::vector<Candidate> b;
-  QueryWork wa;
-  QueryWork wb;
-  original.query(spectrum, filter, a, wa);
-  loaded.query(spectrum, filter, b, wb);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].peptide, b[i].peptide);
-    EXPECT_EQ(a[i].shared_peaks, b[i].shared_peaks);
-  }
-}
-
-TEST_F(SerializeTest, SlmIndexLoadRejectsDifferentParams) {
-  const PeptideStore store = make_store();
-  const SlmIndex original(store, mods_, params_);
-  std::stringstream buffer;
-  original.save(buffer);
-  IndexParams other = params_;
-  other.fragments.max_fragment_charge = 2;
-  EXPECT_THROW(SlmIndex::load(buffer, store, mods_, other), IoError);
+  EXPECT_LT(loaded->store().memory_bytes(), original.store().memory_bytes());
+  EXPECT_LT(loaded->memory_bytes(), original.memory_bytes());
 }
 
 TEST_F(SerializeTest, MappingTableRoundTrip) {
@@ -191,17 +165,6 @@ TEST_F(SerializeTest, MappingTableRoundTrip) {
   EXPECT_EQ(loaded.to_global(1, 1), 4u);
 }
 
-TEST_F(SerializeTest, LoadRejectsWrongFormatVersion) {
-  // A stream claiming version 1 (the pre-checksum layout) must be refused,
-  // not misparsed: the versioning policy is regenerate, never migrate.
-  std::stringstream buffer;
-  bin::write_pod(buffer, serialize::kMagic);
-  bin::write_pod(buffer, std::uint32_t{1});
-  bin::write_pod(buffer,
-                 static_cast<std::uint32_t>(serialize::Kind::kChunkedIndex));
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, params_), IoError);
-}
-
 TEST_F(SerializeTest, StaleVersionAndCorruptionAreDistinctErrors) {
   // The pipeline's warm-start path treats FormatVersionError as
   // "regenerate quietly" but lets any other IoError propagate, so the two
@@ -209,23 +172,20 @@ TEST_F(SerializeTest, StaleVersionAndCorruptionAreDistinctErrors) {
   // flipped payload bit throws plain IoError.
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  const std::string bytes = buffer.str();
+  const std::string bytes = bytes_of(original);
 
   std::string stale = bytes;
   stale[4] = 3;  // version u32 follows the 4-byte magic
-  std::istringstream stale_in(stale);
-  EXPECT_THROW(ChunkedIndex::load(stale_in, mods_, params_),
+  EXPECT_THROW(map_all(write_scratch(stale), params_),
                serialize::FormatVersionError);
 
   std::string corrupt = bytes;
   corrupt[bytes.size() / 2] =
       static_cast<char>(corrupt[bytes.size() / 2] ^ 0x20);
-  std::istringstream corrupt_in(corrupt);
+  const std::string corrupt_path = write_scratch(corrupt);
   try {
-    ChunkedIndex::load(corrupt_in, mods_, params_);
-    FAIL() << "corrupted stream loaded successfully";
+    map_all(corrupt_path, params_);
+    FAIL() << "corrupted file mapped successfully";
   } catch (const serialize::FormatVersionError&) {
     FAIL() << "payload corruption misreported as a version mismatch";
   } catch (const IoError&) {
@@ -233,56 +193,22 @@ TEST_F(SerializeTest, StaleVersionAndCorruptionAreDistinctErrors) {
   }
 }
 
-TEST_F(SerializeTest, LoadRejectsWrongComponentKind) {
+TEST_F(SerializeTest, MapRejectsWrongComponentKind) {
   const PeptideStore store = make_store();
   std::stringstream buffer;
   store.save(buffer);
-  // A valid peptide-store stream is not a chunked index.
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, params_), IoError);
+  // A valid peptide-store file is not a chunked index.
+  EXPECT_THROW(map_all(write_scratch(buffer.str()), params_), IoError);
 }
 
-TEST_F(SerializeTest, ChunkedLoadRejectsTrailingBytes) {
-  // Both load modes must agree on validity: map_file requires the chunk
-  // extents to account for the whole file, so the eager stream load must
-  // reject appended garbage too.
+TEST_F(SerializeTest, MapRejectsTrailingBytes) {
+  // The chunk extents must account for the whole file: nothing may hide
+  // past the last chunk.
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  buffer << "garbage";
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, params_), IoError);
-}
-
-TEST_F(SerializeTest, ChunkedLoadRejectsTruncation) {
-  const ChunkedIndex original(make_store(), mods_, params_,
-                              ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  std::string bytes = buffer.str();
-  bytes.resize(bytes.size() - bytes.size() / 3);
-  std::istringstream truncated(bytes);
-  EXPECT_THROW(ChunkedIndex::load(truncated, mods_, params_), IoError);
-}
-
-TEST_F(SerializeTest, EveryFlippedBitIsDetected) {
-  const ChunkedIndex original(make_store(), mods_, params_,
-                              ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  const std::string bytes = buffer.str();
-  ASSERT_GT(bytes.size(), 64u);
-
-  // Flip one bit at a spread of positions covering the header, the section
-  // frames and the payloads; every single one must surface as IoError —
-  // never UB, never a silently different index.
-  for (std::size_t pos = 0; pos < bytes.size();
-       pos += 1 + bytes.size() / 97) {
-    std::string corrupt = bytes;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
-    std::istringstream in(corrupt);
-    EXPECT_THROW(ChunkedIndex::load(in, mods_, params_), IoError)
-        << "flipped bit at byte " << pos << " went undetected";
-  }
+  EXPECT_THROW(
+      map_all(write_scratch(bytes_of(original) + "garbage"), params_),
+      IoError);
 }
 
 TEST_F(SerializeTest, MappingTableRejectsFlippedBit) {
